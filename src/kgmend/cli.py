@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import click
@@ -10,7 +11,6 @@ from .embedding import format_embedding, traverse_r
 from .evalkit import detect_errors, inject_errors, read_labeled_facts
 from .graph_store import (
     GraphFormatError,
-    GraphStore,
     NALabelError,
     Tuple,
     load_graph,
@@ -24,6 +24,7 @@ from .repair import (
     iter_prediction_lines,
     predict_link,
     read_predictions,
+    write_decisions,
     write_predictions,
 )
 from .stream import integrate_aux, load_label_map
@@ -45,6 +46,21 @@ def _mode(sort_paths: str) -> str:
 
 
 def validation_options(fn):
+    """Add the shared validation flags; the command receives them as one `vcfg`."""
+    @functools.wraps(fn)
+    def command(l, sample_size, theta, delta, seed, edit_tolerance, sort_paths,
+                neighborhood, **kwargs):
+        try:
+            vcfg = ValidationConfig(
+                l=l, theta=theta, delta=delta, sample_size=sample_size, seed=seed,
+                edit_tolerance=edit_tolerance, mode=_mode(sort_paths),
+                neighborhood=neighborhood,
+            )
+        except ValueError as exc:
+            raise _usage(exc) from exc
+        _announce_neighborhood(neighborhood)
+        return fn(vcfg=vcfg, **kwargs)
+
     opts = [
         click.option("--l", "l", type=int, default=2, show_default=True,
                      help="Pattern radius."),
@@ -65,20 +81,8 @@ def validation_options(fn):
                      help="Ball construction around pattern centers."),
     ]
     for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
-
-
-def _validation_config(l, sample_size, theta, delta, seed, edit_tolerance,
-                       sort_paths, neighborhood) -> ValidationConfig:
-    try:
-        return ValidationConfig(
-            l=l, theta=theta, delta=delta, sample_size=sample_size, seed=seed,
-            edit_tolerance=edit_tolerance, mode=_mode(sort_paths),
-            neighborhood=neighborhood,
-        )
-    except ValueError as exc:
-        raise _usage(exc) from exc
+        command = opt(command)
+    return command
 
 
 def _announce_neighborhood(neighborhood: str) -> None:
@@ -86,9 +90,10 @@ def _announce_neighborhood(neighborhood: str) -> None:
     click.echo(f"pattern neighborhood: {neighborhood} of endpoint balls", err=True)
 
 
-def _load_graph(path) -> GraphStore:
+def _read(reader, path):
+    """`reader(path)`, with malformed input reported as a usage error."""
     try:
-        return load_graph(path)
+        return reader(path)
     except _INPUT_ERRORS as exc:
         raise _usage(exc) from exc
 
@@ -114,19 +119,15 @@ def main() -> None:
 @click.option("--max-hold", type=int, default=3, show_default=True,
               help="Retries before a held record is closed out.")
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Threads per slice; results are identical at any count.")
+              help="Accepted for compatibility; has no effect, records are repaired serially.")
 @click.option("--aux-graph", type=_FILE_IN, help="Auxiliary graph TSV for cold labels.")
 @click.option("--label-map", type=_FILE_IN, help="TSV aux_label<TAB>target_label.")
 @click.option("--out-decisions", type=_FILE_OUT, help="Decision log, JSON lines.")
 @click.option("--out-graph", type=_FILE_OUT, help="Enhanced graph TSV.")
 @click.option("--metrics", type=_FILE_OUT, help="Per-slice metrics, JSON lines.")
-def enhance(graph, predictions, l, sample_size, theta, delta, seed, edit_tolerance,
-            sort_paths, neighborhood, k, p_th, slice_size, unknown_policy, max_hold,
+def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_hold,
             workers, aux_graph, label_map, out_decisions, out_graph, metrics):
     """Repair a prediction stream and commit the accepted tuples."""
-    vcfg = _validation_config(l, sample_size, theta, delta, seed, edit_tolerance,
-                              sort_paths, neighborhood)
-    _announce_neighborhood(neighborhood)
     try:
         cfg = RepairConfig(k=k, p_th=p_th, unknown_policy=unknown_policy,
                            max_hold_iterations=max_hold, validation=vcfg)
@@ -134,21 +135,16 @@ def enhance(graph, predictions, l, sample_size, theta, delta, seed, edit_toleran
         raise _usage(exc) from exc
     if slice_size < 1 or workers < 1:
         raise click.UsageError("slice-size and workers must be at least 1")
-    g = _load_graph(graph)
+    g = _read(load_graph, graph)
     if aux_graph:
-        mapping = {}
-        if label_map:
-            try:
-                mapping = load_label_map(label_map)
-            except _INPUT_ERRORS as exc:
-                raise _usage(exc) from exc
-        integrate_aux(g, aux_graph, mapping)
+        try:
+            integrate_aux(g, aux_graph, load_label_map(label_map) if label_map else {})
+        except _INPUT_ERRORS as exc:
+            raise _usage(exc) from exc
     stream = iter_prediction_lines(predictions)
-    log, results = run_stream(g, stream, cfg, slice_size=slice_size, workers=workers)
+    log, results = run_stream(g, stream, cfg, slice_size=slice_size)
     if out_decisions:
-        with open(out_decisions, "w", encoding="utf-8") as fh:
-            for dec in log:
-                fh.write(dec.to_json() + "\n")
+        write_decisions(log, out_decisions)
     else:
         for dec in log:
             click.echo(dec.to_json())
@@ -170,18 +166,10 @@ def enhance(graph, predictions, l, sample_size, theta, delta, seed, edit_toleran
 @click.option("--tuples", "tuples_path", required=True, type=_FILE_IN,
               help="Candidate tuples TSV.")
 @validation_options
-def validate(graph, tuples_path, l, sample_size, theta, delta, seed, edit_tolerance,
-             sort_paths, neighborhood):
+def validate(graph, tuples_path, vcfg):
     """Classify each tuple as Valid, Invalid or Unknown."""
-    vcfg = _validation_config(l, sample_size, theta, delta, seed, edit_tolerance,
-                              sort_paths, neighborhood)
-    _announce_neighborhood(neighborhood)
-    g = _load_graph(graph)
-    try:
-        candidates = read_tuples(tuples_path)
-    except _INPUT_ERRORS as exc:
-        raise _usage(exc) from exc
-    for s in candidates:
+    g = _read(load_graph, graph)
+    for s in _read(read_tuples, tuples_path):
         report = classify(g, s, vcfg)
         click.echo(json.dumps({
             "head": s.head, "relation": s.relation, "tail": s.tail,
@@ -203,7 +191,7 @@ def validate(graph, tuples_path, l, sample_size, theta, delta, seed, edit_tolera
 def embed(graph, head, relation, tail, l, sort_paths, neighborhood):
     """Print the path embedding of one center tuple, one path per line."""
     _announce_neighborhood(neighborhood)
-    g = _load_graph(graph)
+    g = _read(load_graph, graph)
     try:
         pattern = extract_pattern(g, Tuple(head, relation, tail), l,
                                   neighborhood=neighborhood)
@@ -217,18 +205,10 @@ def embed(graph, head, relation, tail, l, sort_paths, neighborhood):
 @click.option("--graph", required=True, type=_FILE_IN)
 @click.option("--tuples", "tuples_path", required=True, type=_FILE_IN)
 @validation_options
-def predict_links(graph, tuples_path, l, sample_size, theta, delta, seed,
-                  edit_tolerance, sort_paths, neighborhood):
+def predict_links(graph, tuples_path, vcfg):
     """Print linkage probabilities for candidate tuples."""
-    vcfg = _validation_config(l, sample_size, theta, delta, seed, edit_tolerance,
-                              sort_paths, neighborhood)
-    _announce_neighborhood(neighborhood)
-    g = _load_graph(graph)
-    try:
-        candidates = read_tuples(tuples_path)
-    except _INPUT_ERRORS as exc:
-        raise _usage(exc) from exc
-    for s in candidates:
+    g = _read(load_graph, graph)
+    for s in _read(read_tuples, tuples_path):
         link = predict_link(g, s.head, s.tail, s.relation, vcfg)
         click.echo(json.dumps({
             "head": s.head, "relation": s.relation, "tail": s.tail, "link": link,
@@ -251,10 +231,7 @@ def inject_errors_cmd(predictions, rate, seed, out):
         write_predictions(perturbed, out)
     else:
         for rec in perturbed:
-            click.echo(json.dumps({
-                "id": rec.id, "head": rec.head, "tail": rec.tail,
-                "candidates": [{"relation": lab, "p": p} for lab, p in rec.candidates],
-            }))
+            click.echo(rec.to_json())
 
 
 @main.command("detect-errors")
@@ -264,13 +241,9 @@ def inject_errors_cmd(predictions, rate, seed, out):
 @validation_options
 @click.option("--unknown-true", is_flag=True,
               help="Count Unknown facts as predicted true.")
-def detect_errors_cmd(graph, facts, l, sample_size, theta, delta, seed,
-                      edit_tolerance, sort_paths, neighborhood, unknown_true):
+def detect_errors_cmd(graph, facts, vcfg, unknown_true):
     """Score truth detection over labeled held-out facts."""
-    vcfg = _validation_config(l, sample_size, theta, delta, seed, edit_tolerance,
-                              sort_paths, neighborhood)
-    _announce_neighborhood(neighborhood)
-    g = _load_graph(graph)
+    g = _read(load_graph, graph)
     try:
         labeled = read_labeled_facts(facts)
         report = detect_errors(g, labeled, vcfg, unknown_is_true=unknown_true)
@@ -283,7 +256,7 @@ def detect_errors_cmd(graph, facts, l, sample_size, theta, delta, seed,
 @click.option("--graph", required=True, type=_FILE_IN)
 def stats(graph):
     """Print vertex, edge, relation and degree counts."""
-    g = _load_graph(graph)
+    g = _read(load_graph, graph)
     d_max, vertices, edges = g.degree_stats()
     click.echo(json.dumps({
         "vertices": vertices, "edges": edges,

@@ -1,7 +1,7 @@
 """Indexed directed multigraph of RDF tuples.
 
-The store keeps out/in adjacency, a relation-occurrence index and a cached
-maximum total degree. Set semantics: the same tuple is never stored twice,
+The store keeps out/in adjacency, a relation-occurrence index and per-vertex
+total degrees. Set semantics: the same tuple is never stored twice,
 but parallel edges with different labels between the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
@@ -45,8 +45,6 @@ class GraphStore:
         self._by_relation: dict[str, set[Tuple]] = {}
         self._degree: dict[str, int] = {}                 # in-degree + out-degree
         self._edge_count = 0
-        self._d_max = 0
-        self._d_max_valid = True
         self.version = 0
         # relation -> occurrences sorted by (head, tail); rebuilt on demand
         self._relation_order: dict[str, list[Tuple]] = {}
@@ -67,10 +65,7 @@ class GraphStore:
         self._by_relation.setdefault(s.relation, set()).add(s)
         self._edge_count += 1
         for v in (s.head, s.tail):
-            d = self._degree.get(v, 0) + 1
-            self._degree[v] = d
-            if d > self._d_max:
-                self._d_max = d
+            self._degree[v] = self._degree.get(v, 0) + 1
         self._touch(s.relation)
         return True
 
@@ -94,8 +89,6 @@ class GraphStore:
                     del self._in[v]
             else:
                 self._degree[v] = d
-            if d + 1 == self._d_max:
-                self._d_max_valid = False
         self._touch(s.relation)
         return True
 
@@ -112,8 +105,7 @@ class GraphStore:
     def overlay(self, tuples: Iterable[Tuple]):
         """Temporarily add tuples (a g-union-instance snapshot), then restore.
 
-        The caller must not mutate the store inside the block; concurrent
-        reads are safe because all mutation happens before the block starts.
+        The caller must not mutate the store inside the block.
         """
         inserted = [s for s in tuples if self.add_tuple(s)]
         self.bump_version()
@@ -210,13 +202,7 @@ class GraphStore:
 
     def degree_stats(self) -> tuple[int, int, int]:
         """(max total degree, vertex count, edge count)."""
-        if not self._d_max_valid:
-            self._d_max = max(self._degree.values(), default=0)
-            self._d_max_valid = True
-        return self._d_max, len(self._degree), self._edge_count
-
-    def d_max(self) -> int:
-        return self.degree_stats()[0]
+        return max(self._degree.values(), default=0), len(self._degree), self._edge_count
 
     def attach_aux(self, aux: "GraphStore | None") -> None:
         self.aux_source = aux
@@ -224,13 +210,29 @@ class GraphStore:
 
 # -- flat-file format --------------------------------------------------------
 
+def identifier(value: str) -> str:
+    """`value` stripped; ValueError if that is empty, starts with `#` or holds TAB, CR or LF.
+
+    The one rule for entity and label strings in every input format, so that
+    whatever is accepted can be saved to a graph file and read back unchanged.
+    """
+    v = value.strip()
+    if not v or v[0] == "#" or "\t" in v or "\r" in v or "\n" in v:
+        raise ValueError(f"{value!r} is empty, starts with # or holds a TAB, CR or LF")
+    return v
+
+
 def parse_tuple_line(line: str, lineno: int) -> Tuple:
     parts = line.split("\t")
     if len(parts) != 3:
         raise GraphFormatError(f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(parts)} fields")
-    head, relation, tail = (sys.intern(p.strip()) for p in parts)
-    if not head or not relation or not tail:
-        raise GraphFormatError(f"line {lineno}: empty field")
+    try:
+        # three calls, not a generator: this runs for every line of every graph file
+        head = sys.intern(identifier(parts[0]))
+        relation = sys.intern(identifier(parts[1]))
+        tail = sys.intern(identifier(parts[2]))
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
     if relation == NA:
         raise GraphFormatError(f"line {lineno}: relation label NA is not storable")
     return Tuple(head, relation, tail)

@@ -13,7 +13,7 @@ from each endpoint; the intersection variant is kept for study.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph_store import GraphStore, NA, Tuple
 
@@ -27,7 +27,6 @@ class LocalizedPattern:
     vertices: frozenset[str]
     edges: frozenset[Tuple]
     center_hypothetical: bool
-    from_aux: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         assert self.center.head in self.vertices and self.center.tail in self.vertices
@@ -91,7 +90,6 @@ def extract_pattern(
     center: Tuple,
     l: int,
     neighborhood: str = "union",
-    from_aux: bool = False,
 ) -> LocalizedPattern:
     """Build the localized pattern of radius l around center, over g plus center."""
     if l < 1:
@@ -118,7 +116,6 @@ def extract_pattern(
         vertices=frozenset(vertices),
         edges=frozenset(edges),
         center_hypothetical=center not in g,
-        from_aux=from_aux,
     )
 
 

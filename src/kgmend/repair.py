@@ -9,10 +9,9 @@ probability and a structural linkage prediction. Nothing passing means NA.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .graph_store import GraphStore, NA, Tuple
+from .graph_store import GraphStore, NA, Tuple, identifier
 from .validation import (
     INVALID,
     UNKNOWN,
@@ -42,6 +41,14 @@ class PredictionRecord:
     head: str
     tail: str
     candidates: tuple    # ((relation, probability), ...) descending by probability
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "id": self.id,
+            "head": self.head,
+            "tail": self.tail,
+            "candidates": [{"relation": r, "p": p} for r, p in self.candidates],
+        })
 
 
 @dataclass
@@ -90,6 +97,17 @@ class RepairDecision:
         return json.dumps(payload)
 
 
+def _field(value, what: str, rid) -> str:
+    # a JSON string has explicit ends, so one that is not already stripped is
+    # rejected, not stripped: a graph file could not give it back as given
+    try:
+        if isinstance(value, str) and identifier(value) == value:
+            return value
+    except ValueError:
+        pass
+    raise PredictionFormatError(f"record {rid!r}: bad {what} {value!r}")
+
+
 def parse_record(obj: dict) -> PredictionRecord:
     try:
         rid, head, tail = obj["id"], obj["head"], obj["tail"]
@@ -110,9 +128,9 @@ def parse_record(obj: dict) -> PredictionRecord:
         if previous is not None and p > previous + 1e-12:
             raise PredictionFormatError(f"record {rid!r}: candidates not sorted by descending p")
         previous = p
-        candidates.append((str(relation), p))
-    return PredictionRecord(id=str(rid), head=str(head), tail=str(tail),
-                            candidates=tuple(candidates))
+        candidates.append((_field(relation, "relation", rid), p))
+    return PredictionRecord(id=str(rid), head=_field(head, "head", rid),
+                            tail=_field(tail, "tail", rid), candidates=tuple(candidates))
 
 
 def initial_instance(records: list[PredictionRecord], p_th: float) -> list[Tuple]:
@@ -133,10 +151,7 @@ def predict_link(g: GraphStore, h: str, t: str, r: str, cfg: ValidationConfig) -
     """
     if r == NA:
         raise ValueError("NA is not a predictable relation")
-    ev = gather_evidence(g, Tuple(h, r, t), cfg)
-    if not ev.sims:
-        return 0.0
-    return sum(ev.sims) / len(ev.sims)
+    return _link_from_evidence(gather_evidence(g, Tuple(h, r, t), cfg))
 
 
 def _link_from_evidence(ev: Evidence) -> float:
@@ -158,6 +173,11 @@ def _top_k_labels(rec: PredictionRecord, k: int) -> list[tuple[str, float]]:
     return picked
 
 
+def _by_joint(row) -> tuple:
+    """Sort key for (label, p, joint, ...) rows: joint, then p, descending, then label."""
+    return (-row[2], -row[1], row[0])
+
+
 def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                  link_fn=None) -> list[tuple[str, float]]:
     """Acquisition probability times linkage prediction for the Top-k labels.
@@ -170,7 +190,7 @@ def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     scored = []
     for label, p in _top_k_labels(rec, cfg.k):
         scored.append((label, p, p * link(g, rec.head, rec.tail, label, cfg.validation)))
-    scored.sort(key=lambda row: (-row[2], -row[1], row[0]))
+    scored.sort(key=_by_joint)
     return [(label, joint) for label, _, joint in scored]
 
 
@@ -216,7 +236,7 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
         s, ev, report = evaluate(label)
         joint = p * _link_from_evidence(ev)
         ranked.append((label, p, joint, report))
-    ranked.sort(key=lambda row: (-row[2], -row[1], row[0]))
+    ranked.sort(key=_by_joint)
 
     for label, _, joint, report in ranked:
         if report.status == VALID or (report.status == UNKNOWN and cfg.unknown_policy == "accept"):
@@ -235,20 +255,17 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                           checks=checks)
 
 
-def repair_instance(g: GraphStore, records: list[PredictionRecord], cfg: RepairConfig,
-                    workers: int = 1) -> list[RepairDecision]:
+def repair_instance(g: GraphStore, records: list[PredictionRecord],
+                    cfg: RepairConfig) -> list[RepairDecision]:
     """Repair every record against the frozen g-union-instance snapshot.
 
-    Decisions come back in input order and are identical for any worker
-    count; there is no cross-record combinatorial search.
+    Decisions come back in input order; there is no cross-record
+    combinatorial search.
     """
     instance = initial_instance(records, cfg.p_th)
     context = frozenset(instance)
     with g.overlay(instance):
-        if workers <= 1:
-            return [repair_tuple(g, rec, cfg, context) for rec in records]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda rec: repair_tuple(g, rec, cfg, context), records))
+        return [repair_tuple(g, rec, cfg, context) for rec in records]
 
 
 # -- prediction and decision files -------------------------------------------
@@ -266,13 +283,11 @@ def iter_prediction_lines(path):
                 yield PredictionFormatError(f"line {lineno}: {exc}")
 
 
-def read_predictions(path, strict: bool = True) -> list[PredictionRecord]:
+def read_predictions(path) -> list[PredictionRecord]:
     records = []
     for item in iter_prediction_lines(path):
         if isinstance(item, PredictionFormatError):
-            if strict:
-                raise item
-            continue
+            raise item
         records.append(item)
     return records
 
@@ -280,12 +295,7 @@ def read_predictions(path, strict: bool = True) -> list[PredictionRecord]:
 def write_predictions(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps({
-                "id": rec.id,
-                "head": rec.head,
-                "tail": rec.tail,
-                "candidates": [{"relation": r, "p": p} for r, p in rec.candidates],
-            }) + "\n")
+            fh.write(rec.to_json() + "\n")
 
 
 def write_decisions(decisions, path) -> None:

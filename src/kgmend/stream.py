@@ -15,7 +15,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from .graph_store import GraphFormatError, GraphStore, NA, Tuple, read_tuples
+from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, read_tuples
 from .repair import (
     ACCEPTED,
     HELD,
@@ -87,9 +87,10 @@ def load_label_map(path) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected aux<TAB>target")
-            aux, target = parts[0].strip(), parts[1].strip()
-            if not aux or not target:
-                raise GraphFormatError(f"line {lineno}: empty label")
+            try:
+                aux, target = identifier(parts[0]), identifier(parts[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from None
             if target == NA:
                 continue
             mapping[aux] = target
@@ -136,7 +137,6 @@ def run(
     prediction_stream,
     cfg: RepairConfig,
     slice_size: int = 1000,
-    workers: int = 1,
 ) -> tuple[list[RepairDecision], list[SliceResult]]:
     """Drive the acquisition / validate-repair / enhance loop over slices.
 
@@ -159,7 +159,7 @@ def run(
         records = [rec for rec, _ in batch]
 
         start = time.perf_counter()
-        decisions = repair_instance(g, records, cfg, workers)
+        decisions = repair_instance(g, records, cfg)
         elapsed = time.perf_counter() - start
 
         counts = {ACCEPTED: 0, REPAIRED: 0, REJECTED: 0, HELD: 0}

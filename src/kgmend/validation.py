@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
 from .graph_store import GraphStore, NA, Tuple
-from .patterns import LocalizedPattern, NEIGHBORHOODS, extract_pattern
+from .patterns import NEIGHBORHOODS, extract_pattern
 
 VALID = "Valid"
 INVALID = "Invalid"
@@ -28,8 +28,7 @@ class ValidationConfig:
     delta: int = 1              # witnesses required for Valid
     sample_size: int = 10
     seed: int = 0
-    escalate_full_scan: bool = True
-    scan_cap: int = 200
+    scan_cap: int = 200         # escalation scan length; 0 turns the scan off
     edit_tolerance: int = 0
     mode: str = "sorted"
     neighborhood: str = "union"
@@ -62,7 +61,7 @@ class SupportReport:
 
 
 def _draw_rng(cfg: ValidationConfig, r: str, exclude: Tuple | None, version: int, realm: str) -> random.Random:
-    # sampling must depend only on these inputs, never on thread scheduling
+    # sampling must depend only on these inputs, never on which records came before
     material = repr((cfg.seed, r, exclude, version, realm)).encode()
     digest = hashlib.blake2b(material, digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
@@ -92,16 +91,6 @@ def sample_centers(
             picks = rng.sample(range(aux_available), need)
             chosen.extend((aux_order[i], True) for i in picks)
     return chosen
-
-
-def sample_patterns(
-    g: GraphStore, r: str, cfg: ValidationConfig, exclude: Tuple | None = None
-) -> list[LocalizedPattern]:
-    patterns = []
-    for center, from_aux in sample_centers(g, r, cfg, exclude):
-        source = g.aux_source if from_aux else g
-        patterns.append(extract_pattern(source, center, cfg.l, cfg.neighborhood, from_aux=from_aux))
-    return patterns
 
 
 def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig) -> PathEmbedding:
@@ -147,7 +136,7 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
     witnesses = [ev.centers[i] for i, v in enumerate(ev.sims) if v > cfg.theta]
     count = len(witnesses)
     escalated = False
-    if count < cfg.delta and cfg.escalate_full_scan:
+    if count < cfg.delta:
         sampled = {c for c, _ in ev.centers}
         order, _ = g.occurrence_index(s.relation, exclude=None)
         scanned = 0
@@ -218,7 +207,3 @@ def validate_instance(
         reports = [classify(g, s, cfg, ignore=ignore) for s in instance]
     legal = all(r.status != INVALID for r in reports)
     return reports, legal
-
-
-def config_with(cfg: ValidationConfig, **changes) -> ValidationConfig:
-    return replace(cfg, **changes)

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph_store import GraphStore, Tuple
-from .patterns import LocalizedPattern, extract_pattern
+from kgmend.graph_store import GraphStore, Tuple
+from kgmend.patterns import LocalizedPattern, extract_pattern
 
 MAX_WALK_VERTICES = 12
 MAX_WALK_RADIUS = 3

@@ -37,11 +37,11 @@ from kgmend import (
 )
 from kgmend.cli import main
 from kgmend.embedding import MODES
-from kgmend.oracle import enumerate_central_walks, exact_support
 from kgmend.repair import write_predictions
 from kgmend.stream import run
 
 from conftest import DATA, GOLDEN, LABELS, random_center, random_graph
+from oracle import enumerate_central_walks, exact_support
 
 
 def _finish(criterion: int, t0: float, budget: float) -> None:

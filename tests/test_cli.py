@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgmend import GraphStore, PredictionRecord, Tuple, save_graph
+from kgmend import GraphStore, PredictionRecord, Tuple, load_graph, save_graph
 from kgmend.cli import main
 from kgmend.repair import write_predictions
 
@@ -85,6 +89,18 @@ def test_malformed_graph_exits_two(runner, tmp_path):
     bad.write_text("only-one-field\n")
     result = runner.invoke(main, ["stats", "--graph", str(bad)])
     assert result.exit_code == 2
+
+
+def test_malformed_aux_graph_exits_two(runner, tmp_path):
+    graph = support_graph_file(tmp_path)
+    preds = predictions_file(tmp_path, [PredictionRecord("n1", "h", "t", (("r", 0.9),))])
+    aux = tmp_path / "aux.tsv"
+    aux.write_text("only-one-field\n")
+    result = runner.invoke(main, [
+        "enhance", "--graph", str(graph), "--predictions", str(preds), "--aux-graph", str(aux),
+    ])
+    assert result.exit_code == 2
+    assert "line 1" in result.stderr
 
 
 def test_bad_config_value_exits_two(runner, tmp_path):
@@ -200,6 +216,75 @@ def test_enhance_counts_malformed_lines_without_aborting(runner, tmp_path):
     ])
     assert result.exit_code == 0
     assert json.loads(metrics.read_text())["malformed"] == 1
+
+
+# each of these was once committed by `enhance`, and its --out-graph file then
+# failed to load, dropped the line as a comment or read the head back changed
+BAD_FIELDS = {
+    "empty": {"head": ""},
+    "tab": {"head": "h\tx"},
+    "cr": {"head": "h\rx"},
+    "hash": {"head": "#h"},
+    "space": {"head": " sp"},
+    "null": {"head": None},
+    "empty-relation": {"candidates": [{"relation": "", "p": 0.9}]},
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
+def test_bad_identifiers_are_malformed_records(runner, tmp_path, bad):
+    graph = support_graph_file(tmp_path)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "n1", "head": "h", "tail": "t",
+                                 "candidates": [{"relation": "r", "p": 0.9}], **bad}) + "\n")
+    metrics = tmp_path / "metrics.jsonl"
+    out_graph = tmp_path / "enhanced.tsv"
+    result = runner.invoke(main, [
+        "enhance", "--graph", str(graph), "--predictions", str(preds),
+        "--l", "1", "--sample-size", "4", "--unknown-policy", "accept",
+        "--metrics", str(metrics), "--out-graph", str(out_graph),
+    ])
+    assert result.exit_code == 0
+    assert json.loads(metrics.read_text())["malformed"] == 1
+    assert set(load_graph(out_graph).all_tuples()) == set(load_graph(graph).all_tuples())
+    result = runner.invoke(main, ["inject-errors", "--predictions", str(preds), "--rate", "0.5"])
+    assert result.exit_code == 2
+    assert "line 1" in result.stderr
+
+
+_NAMES = st.text(st.sampled_from(["a", "h", "N", "A", " ", "\t", "\r", "\n", "#", "\x0c", "\x85"]),
+                 max_size=3)
+_CANDIDATES = st.lists(st.tuples(st.one_of(_NAMES, st.sampled_from(["r", "q", "NA"])),
+                                 st.sampled_from([0.9, 0.5, 0.1])), min_size=1, max_size=3)
+_RECORDS = st.lists(st.tuples(st.one_of(st.none(), _NAMES), _NAMES, _CANDIDATES), max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_RECORDS)
+def test_enhanced_graph_reloads_as_input_plus_kept_finals(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        graph = support_graph_file(tmp)
+        preds = tmp / "preds.jsonl"
+        preds.write_text("".join(json.dumps({
+            "id": f"n{i}", "head": head, "tail": tail,
+            "candidates": [{"relation": r, "p": p}
+                           for r, p in sorted(candidates, key=lambda c: -c[1])],
+        }) + "\n" for i, (head, tail, candidates) in enumerate(records)))
+        decisions, metrics, out_graph = tmp / "dec.jsonl", tmp / "m.jsonl", tmp / "out.tsv"
+        result = CliRunner().invoke(main, [
+            "enhance", "--graph", str(graph), "--predictions", str(preds),
+            "--l", "1", "--sample-size", "4", "--unknown-policy", "accept",
+            "--slice-size", "2", "--out-decisions", str(decisions),
+            "--metrics", str(metrics), "--out-graph", str(out_graph),
+        ])
+        assert result.exit_code == 0, result.output
+        log = [json.loads(line) for line in decisions.read_text().splitlines()]
+        malformed = sum(json.loads(line)["malformed"] for line in metrics.read_text().splitlines())
+        assert len(log) + malformed == len(records)
+        kept = {Tuple(d["head"], d["final"], d["tail"]) for d in log
+                if d["status"] in ("Accepted", "Repaired")}
+        assert set(load_graph(out_graph).all_tuples()) == set(load_graph(graph).all_tuples()) | kept
 
 
 def test_enhance_uses_auxiliary_graph_for_cold_labels(runner, tmp_path):

@@ -54,7 +54,7 @@ def test_single_edge_pattern_has_empty_embedding():
     g = GraphStore()
     g.add_tuple(Tuple("u", "q", "v"))
     e = embed(g, Tuple("u", "q", "v"), 1)
-    assert e.is_empty and e.size == 0
+    assert e.is_empty() and e.size == 0
 
 
 def test_self_loop_walked_once():

@@ -9,14 +9,14 @@ import random
 import pytest
 
 from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
-from kgmend.oracle import (
+
+from conftest import random_center, random_graph
+from oracle import (
     best_common_match,
     enumerate_central_walks,
     exact_sim,
     exact_support,
 )
-
-from conftest import random_center, random_graph
 
 
 def pattern_of(g: GraphStore, center: Tuple, l: int = 1):

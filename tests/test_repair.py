@@ -258,12 +258,21 @@ def test_records_support_each_other_through_the_snapshot():
     assert [d.status for d in together] == ["Accepted", "Accepted"]
 
 
-def test_worker_count_does_not_change_decisions():
-    g = support_graph(occurrences=6)
-    records = []
-    for i in range(12):
-        g.add_tuple(Tuple(f"h{i}", "q", f"xh{i}"))
-        records.append(rec(f"r{i}", f"h{i}", f"t{i}", ("wrong", 0.8), ("r", 0.6)))
-    sequential = repair_instance(g, records, rcfg(), workers=1)
-    threaded = repair_instance(g, records, rcfg(), workers=4)
-    assert sequential == threaded
+def test_instance_decisions_are_per_record_repairs_in_input_order():
+    def build():
+        g = support_graph(occurrences=6)
+        records = []
+        for i in range(12):
+            g.add_tuple(Tuple(f"h{i}", "q", f"xh{i}"))
+            records.append(rec(f"r{i}", f"h{i}", f"t{i}", ("wrong", 0.8), ("r", 0.6)))
+        return g, records
+
+    g, records = build()
+    decisions = repair_instance(g, records, rcfg())
+    # the same records repaired one by one against an identical snapshot
+    g, records = build()
+    instance = initial_instance(records, rcfg().p_th)
+    with g.overlay(instance):
+        one_by_one = [repair_tuple(g, r, rcfg(), frozenset(instance)) for r in records]
+    assert decisions == one_by_one
+    assert [d.id for d in decisions] == [r.id for r in records]

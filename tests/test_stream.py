@@ -200,7 +200,7 @@ def test_run_is_deterministic():
 
     g1, r1 = build()
     g2, r2 = build()
-    log1, _ = run(g1, r1, rcfg(), slice_size=2, workers=1)
-    log2, _ = run(g2, r2, rcfg(), slice_size=2, workers=3)
+    log1, _ = run(g1, r1, rcfg(), slice_size=2)
+    log2, _ = run(g2, r2, rcfg(), slice_size=2)
     assert [d.to_json() for d in log1] == [d.to_json() for d in log2]
     assert sorted(g1.all_tuples()) == sorted(g2.all_tuples())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from kgmend import (
@@ -12,11 +14,10 @@ from kgmend import (
     VALID,
     ValidationConfig,
     classify,
-    sample_patterns,
     support,
     validate_instance,
 )
-from kgmend.validation import config_with, sample_centers
+from kgmend.validation import sample_centers
 
 
 def cfg_l1(**kw) -> ValidationConfig:
@@ -75,8 +76,6 @@ def test_aux_source_tops_up_sample():
     assert len(centers) == 10
     assert sum(1 for _, from_aux in centers if not from_aux) == 2
     assert sum(1 for _, from_aux in centers if from_aux) == 8
-    patterns = sample_patterns(g, "born_in", cfg_l1(sample_size=10))
-    assert sum(1 for p in patterns if p.from_aux) == 8
 
 
 def test_support_counts_similar_witnesses():
@@ -97,9 +96,9 @@ def test_theta_is_a_strict_bound():
     g.add_tuple(Tuple("p9", "works_in", "w9"))
     g.add_tuple(Tuple("p9", "plays", "y9"))
     s = Tuple("p9", "born_in", "c9")
-    at = support(g, s, config_with(cfg_l1(), theta=0.5, escalate_full_scan=False))
+    at = support(g, s, replace(cfg_l1(), theta=0.5, scan_cap=0))
     assert at.support_count == 0
-    below = support(g, s, config_with(cfg_l1(), theta=0.49, escalate_full_scan=False))
+    below = support(g, s, replace(cfg_l1(), theta=0.49, scan_cap=0))
     assert below.support_count == 3
 
 
@@ -119,7 +118,7 @@ def test_escalation_finds_witness_outside_sample():
     assert report.support_count == 1
     twins = [c for c, _ in report.witnesses]
     assert twins == [Tuple("twin", "born_in", "tc")]
-    no_scan = classify(g, s, config_with(cfg, escalate_full_scan=False))
+    no_scan = classify(g, s, replace(cfg, scan_cap=0))
     if no_scan.support_count == 0:
         assert not no_scan.escalated
         assert report.escalated
