@@ -245,7 +245,7 @@ def read_gold(path) -> list[GoldLabel]:
 def read_labeled_facts(path) -> list[tuple[Tuple, bool]]:
     """TSV `head<TAB>relation<TAB>tail<TAB>flag` with flag 1 (true) or 0 (false)."""
     facts = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

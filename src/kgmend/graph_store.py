@@ -1,7 +1,8 @@
 """Indexed directed multigraph of RDF tuples.
 
-The store keeps out/in adjacency, a relation-occurrence index and per-vertex
-total degrees. Set semantics: the same tuple is never stored twice,
+The store keeps out/in adjacency and a relation-occurrence index, nothing
+else: degrees, vertices and the edge count are derived from them when asked
+for. Set semantics: the same tuple is never stored twice,
 but parallel edges with different labels between the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
@@ -10,7 +11,6 @@ physical removal.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple
 
@@ -43,8 +43,6 @@ class GraphStore:
         self._out: dict[str, set[tuple[str, str]]] = {}   # head -> {(relation, tail)}
         self._in: dict[str, set[tuple[str, str]]] = {}    # tail -> {(relation, head)}
         self._by_relation: dict[str, set[Tuple]] = {}
-        self._degree: dict[str, int] = {}                 # in-degree + out-degree
-        self._edge_count = 0
         self.version = 0
         # relation -> occurrences sorted by (head, tail); rebuilt on demand
         self._relation_order: dict[str, list[Tuple]] = {}
@@ -63,9 +61,6 @@ class GraphStore:
         self._out.setdefault(s.head, set()).add((s.relation, s.tail))
         self._in.setdefault(s.tail, set()).add((s.relation, s.head))
         self._by_relation.setdefault(s.relation, set()).add(s)
-        self._edge_count += 1
-        for v in (s.head, s.tail):
-            self._degree[v] = self._degree.get(v, 0) + 1
         self._touch(s.relation)
         return True
 
@@ -73,22 +68,13 @@ class GraphStore:
         """Remove s; return True if it was present (absence is not an error)."""
         if s not in self._by_relation.get(s.relation, ()):
             return False
-        self._out[s.head].discard((s.relation, s.tail))
-        self._in[s.tail].discard((s.relation, s.head))
-        self._by_relation[s.relation].discard(s)
-        if not self._by_relation[s.relation]:
-            del self._by_relation[s.relation]
-        self._edge_count -= 1
-        for v in (s.head, s.tail):
-            d = self._degree[v] - 1
-            if d == 0:
-                del self._degree[v]
-                if not self._out.get(v) and v in self._out:
-                    del self._out[v]
-                if not self._in.get(v) and v in self._in:
-                    del self._in[v]
-            else:
-                self._degree[v] = d
+        for index, key, entry in ((self._out, s.head, (s.relation, s.tail)),
+                                  (self._in, s.tail, (s.relation, s.head)),
+                                  (self._by_relation, s.relation, s)):
+            bucket = index[key]
+            bucket.discard(entry)
+            if not bucket:
+                del index[key]
         self._touch(s.relation)
         return True
 
@@ -122,43 +108,18 @@ class GraphStore:
         return s in self._by_relation.get(s.relation, ())
 
     def __len__(self) -> int:
-        return self._edge_count
+        return sum(map(len, self._by_relation.values()))
 
     def tuples_with_relation(self, r: str) -> list[Tuple]:
-        """All tuples labeled r, sorted by head string then tail string."""
+        """All tuples labeled r, sorted by head string then tail string.
+
+        They share the relation, so Tuple order is (head, tail) order.
+        """
         order = self._relation_order.get(r)
         if order is None:
-            order = sorted(self._by_relation.get(r, ()), key=lambda s: (s.head, s.tail))
+            order = sorted(self._by_relation.get(r, ()))
             self._relation_order[r] = order
         return order
-
-    def occurrence_index(self, r: str, exclude: Tuple | None = None) -> tuple[list[Tuple], int]:
-        """Sorted occurrence list for r and the count with exclude removed.
-
-        Returns (sorted list, logical length); use `occurrence_at` to read
-        positions so the excluded tuple is skipped without copying.
-        """
-        order = self.tuples_with_relation(r)
-        if exclude is not None and self._find(order, exclude) is not None:
-            return order, len(order) - 1
-        return order, len(order)
-
-    def occurrence_at(self, order: list[Tuple], i: int, exclude: Tuple | None) -> Tuple:
-        if exclude is None:
-            return order[i]
-        pos = self._find(order, exclude)
-        if pos is None or i < pos:
-            return order[i]
-        return order[i + 1]
-
-    @staticmethod
-    def _find(order: list[Tuple], s: Tuple) -> int | None:
-        i = bisect_left(order, (s.head, s.tail), key=lambda o: (o.head, o.tail))
-        while i < len(order) and order[i].head == s.head and order[i].tail == s.tail:
-            if order[i] == s:
-                return i
-            i += 1
-        return None
 
     def relations(self) -> list[str]:
         return sorted(self._by_relation)
@@ -192,33 +153,42 @@ class GraphStore:
         return found
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._degree
+        return v in self._out or v in self._in
 
     def vertices(self) -> Iterator[str]:
-        yield from self._degree
+        """Heads in insertion order, then tails that are never heads."""
+        yield from self._out
+        yield from (v for v in self._in if v not in self._out)
 
     def degree(self, v: str) -> int:
-        return self._degree.get(v, 0)
+        """In-degree plus out-degree, so a self-loop counts 2."""
+        return len(self._out.get(v, ())) + len(self._in.get(v, ()))
 
     def degree_stats(self) -> tuple[int, int, int]:
         """(max total degree, vertex count, edge count)."""
-        return max(self._degree.values(), default=0), len(self._degree), self._edge_count
-
-    def attach_aux(self, aux: "GraphStore | None") -> None:
-        self.aux_source = aux
+        degrees = [self.degree(v) for v in self.vertices()]
+        return max(degrees, default=0), len(degrees), len(self)
 
 
 # -- flat-file format --------------------------------------------------------
 
 def identifier(value: str) -> str:
-    """`value` stripped; ValueError if that is empty, starts with `#` or holds TAB, CR or LF.
+    """`value` stripped; ValueError if that is empty, starts with `#`, holds a
+    TAB, CR or LF, or does not encode as UTF-8.
 
     The one rule for entity and label strings in every input format, so that
     whatever is accepted can be saved to a graph file and read back unchanged.
+    Readers decode with `surrogateescape`, so a byte that is not UTF-8 reaches
+    this rule as a lone surrogate, as does a `\\ud800` escape in JSON.
     """
     v = value.strip()
     if not v or v[0] == "#" or "\t" in v or "\r" in v or "\n" in v:
         raise ValueError(f"{value!r} is empty, starts with # or holds a TAB, CR or LF")
+    if not v.isascii():
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{value!r} is not UTF-8") from None
     return v
 
 
@@ -240,7 +210,7 @@ def parse_tuple_line(line: str, lineno: int) -> Tuple:
 
 def read_tuples(path) -> list[Tuple]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -272,13 +272,17 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
 
 def iter_prediction_lines(path):
     """Yield parsed records, or PredictionFormatError for lines that fail."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")    # a byte that did not decode fails here
                 yield parse_record(json.loads(line))
+            except UnicodeEncodeError:
+                yield PredictionFormatError(f"line {lineno}: not UTF-8")
             except (json.JSONDecodeError, PredictionFormatError) as exc:
                 yield PredictionFormatError(f"line {lineno}: {exc}")
 

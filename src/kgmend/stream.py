@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, read_tuples
 from .repair import (
@@ -51,35 +51,10 @@ class SliceResult:
         })
 
 
-@dataclass
-class HeldRecord:
-    record: PredictionRecord
-    decision: RepairDecision
-    attempts: int
-
-
-@dataclass
-class HoldBuffer:
-    max_hold_iterations: int
-    entries: list = field(default_factory=list)
-
-    def push(self, rec: PredictionRecord, decision: RepairDecision, attempts: int) -> bool:
-        """Buffer for retry; returns False when the retry budget is spent."""
-        if attempts > self.max_hold_iterations:
-            decision.terminal = True
-            return False
-        self.entries.append(HeldRecord(rec, decision, attempts))
-        return True
-
-    def drain(self) -> list[HeldRecord]:
-        out, self.entries = self.entries, []
-        return out
-
-
 def load_label_map(path) -> dict[str, str]:
     """TSV `aux_label<TAB>target_label`; mapping to NA is the same as absent."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -109,7 +84,7 @@ def integrate_aux(g: GraphStore, aux_graph_path, label_map: dict[str, str]) -> G
         if target is None:
             continue
         aux.add_tuple(Tuple(s.head, target, s.tail))
-    g.attach_aux(aux)
+    g.aux_source = aux
     return aux
 
 
@@ -147,15 +122,15 @@ def run(
     """
     if slice_size < 1:
         raise ValueError("slice_size must be >= 1")
-    hold = HoldBuffer(cfg.max_hold_iterations)
+    held: list[tuple[PredictionRecord, int, RepairDecision]] = []   # record, attempts, last decision
     log: list[RepairDecision] = []
     results: list[SliceResult] = []
 
     for index, raw_slice in enumerate(_chunks(prediction_stream, slice_size)):
         malformed = sum(1 for item in raw_slice if isinstance(item, PredictionFormatError))
         fresh = [item for item in raw_slice if isinstance(item, PredictionRecord)]
-        retries = hold.drain()
-        batch = [(h.record, h.attempts) for h in retries] + [(rec, 0) for rec in fresh]
+        batch = [(rec, attempts) for rec, attempts, _ in held] + [(rec, 0) for rec in fresh]
+        held = []
         records = [rec for rec, _ in batch]
 
         start = time.perf_counter()
@@ -166,10 +141,11 @@ def run(
         for (rec, attempts), dec in zip(batch, decisions):
             counts[dec.status] += 1
             if dec.status == HELD:
-                if not hold.push(rec, dec, attempts + 1):
-                    log.append(dec)
-            else:
-                log.append(dec)
+                if attempts < cfg.max_hold_iterations:
+                    held.append((rec, attempts + 1, dec))
+                    continue
+                dec.terminal = True         # the retry budget is spent
+            log.append(dec)
         committed_before = len(g)
         version = commit(g, decisions)
         logger.info("slice %d: constraint discovery skipped, support sets are implicit", index)
@@ -182,7 +158,7 @@ def run(
             malformed=malformed,
         ))
 
-    for entry in hold.drain():
-        entry.decision.terminal = True      # the stream ended before more context arrived
-        log.append(entry.decision)
+    for _, _, dec in held:
+        dec.terminal = True                 # the stream ended before more context arrived
+        log.append(dec)
     return log, results

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
@@ -76,19 +77,24 @@ def sample_centers(
     sample_size occurrences; a registered auxiliary source then tops the
     sample up with relabeled occurrences (tagged True).
     """
-    order, available = g.occurrence_index(r, exclude)
+    order = g.tuples_with_relation(r)
+    # the excluded tuple is skipped by position, without copying the list
+    skip = bisect_left(order, exclude) if exclude is not None else len(order)
+    if skip < len(order) and order[skip] != exclude:
+        skip = len(order)           # exclude is not an occurrence of r
+    available = len(order) - (skip < len(order))
     if available >= cfg.sample_size:
         rng = _draw_rng(cfg, r, exclude, g.version, "native")
         picks = rng.sample(range(available), cfg.sample_size)
-        return [(g.occurrence_at(order, i, exclude), False) for i in picks]
-    chosen = [(g.occurrence_at(order, i, exclude), False) for i in range(available)]
+        return [(order[i + (i >= skip)], False) for i in picks]
+    chosen = [(order[i + (i >= skip)], False) for i in range(available)]
     aux = g.aux_source
     if aux is not None and len(chosen) < cfg.sample_size:
-        aux_order, aux_available = aux.occurrence_index(r, None)
-        need = min(cfg.sample_size - len(chosen), aux_available)
+        aux_order = aux.tuples_with_relation(r)
+        need = min(cfg.sample_size - len(chosen), len(aux_order))
         if need > 0:
             rng = _draw_rng(cfg, r, exclude, aux.version, "aux")
-            picks = rng.sample(range(aux_available), need)
+            picks = rng.sample(range(len(aux_order)), need)
             chosen.extend((aux_order[i], True) for i in picks)
     return chosen
 
@@ -138,9 +144,8 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
     escalated = False
     if count < cfg.delta:
         sampled = {c for c, _ in ev.centers}
-        order, _ = g.occurrence_index(s.relation, exclude=None)
         scanned = 0
-        for center in order:
+        for center in g.tuples_with_relation(s.relation):
             if count >= cfg.delta or scanned >= cfg.scan_cap:
                 break
             if center == s or center in sampled or center in ignore:

@@ -91,6 +91,14 @@ def test_malformed_graph_exits_two(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_graph_byte_that_is_not_utf8_exits_two_with_its_line(runner, tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"a\tr\tb\nc\tr\td\xff\n")
+    result = runner.invoke(main, ["stats", "--graph", str(bad)])
+    assert result.exit_code == 2
+    assert "line 2" in result.stderr
+
+
 def test_malformed_aux_graph_exits_two(runner, tmp_path):
     graph = support_graph_file(tmp_path)
     preds = predictions_file(tmp_path, [PredictionRecord("n1", "h", "t", (("r", 0.9),))])
@@ -218,6 +226,22 @@ def test_enhance_counts_malformed_lines_without_aborting(runner, tmp_path):
     assert json.loads(metrics.read_text())["malformed"] == 1
 
 
+def test_prediction_byte_that_is_not_utf8_is_a_malformed_record(runner, tmp_path):
+    graph = support_graph_file(tmp_path)
+    preds = tmp_path / "preds.jsonl"
+    good = '{"id": "n%d", "head": "h", "tail": "t", "candidates": [{"relation": "r", "p": 0.9}]}\n'
+    preds.write_bytes((good % 1).encode() + (good % 2).replace('"n2"', '"n2\xff"').encode("latin-1")
+                      + (good % 3).encode())
+    metrics = tmp_path / "metrics.jsonl"
+    result = runner.invoke(main, [
+        "enhance", "--graph", str(graph), "--predictions", str(preds),
+        "--l", "1", "--sample-size", "4", "--metrics", str(metrics),
+    ])
+    assert result.exit_code == 0
+    assert json.loads(metrics.read_text())["malformed"] == 1
+    assert [json.loads(line)["id"] for line in result.stdout.splitlines()] == ["n1", "n3"]
+
+
 # each of these was once committed by `enhance`, and its --out-graph file then
 # failed to load, dropped the line as a comment or read the head back changed
 BAD_FIELDS = {
@@ -228,6 +252,7 @@ BAD_FIELDS = {
     "space": {"head": " sp"},
     "null": {"head": None},
     "empty-relation": {"candidates": [{"relation": "", "p": 0.9}]},
+    "surrogate": {"head": "\ud800"},
 }
 
 

@@ -76,19 +76,6 @@ def test_tuples_with_relation_canonical_order():
     assert g.tuples_with_relation("missing") == []
 
 
-def test_occurrence_index_excludes_logically():
-    g = GraphStore()
-    edges = [Tuple("a", "r", "b"), Tuple("b", "r", "c"), Tuple("c", "r", "d")]
-    for s in edges:
-        g.add_tuple(s)
-    order, n = g.occurrence_index("r", exclude=edges[1])
-    assert n == 2
-    seen = [g.occurrence_at(order, i, edges[1]) for i in range(n)]
-    assert seen == [edges[0], edges[2]]
-    order, n = g.occurrence_index("r", exclude=Tuple("x", "r", "y"))
-    assert n == 3
-
-
 def test_edges_between_covers_both_orientations():
     g = GraphStore()
     g.add_tuple(Tuple("a", "r", "b"))

@@ -48,7 +48,7 @@ def test_sampling_is_deterministic_per_version():
     second = sample_centers(g, "born_in", cfg)
     assert first == second
     g.bump_version()
-    assert sample_centers(g, "born_in", cfg) != first or True  # may differ, never crashes
+    assert sample_centers(g, "born_in", cfg) != first     # the version seeds the draw
     assert len(first) == cfg.sample_size
     assert all(not from_aux for _, from_aux in first)
 
@@ -62,6 +62,22 @@ def test_sampling_excludes_the_candidate_itself():
     assert len(centers) == 4
 
 
+def test_sample_centers_skips_the_excluded_occurrence():
+    g = context_graph(occurrences=5)
+    occurrences = g.tuples_with_relation("born_in")
+    for target in occurrences:
+        centers = [c for c, _ in sample_centers(g, "born_in", cfg_l1(), exclude=target)]
+        assert sorted(centers) == [s for s in occurrences if s != target]
+    # an absent tuple that sorts between occurrences excludes none of them
+    absent = Tuple("p2", "born_in", "c9")
+    seen = set()
+    for seed in range(10):
+        centers = [c for c, _ in sample_centers(g, "born_in", cfg_l1(seed=seed), exclude=absent)]
+        assert len(set(centers)) == 4
+        seen.update(centers)
+    assert seen == set(occurrences)
+
+
 def test_small_index_returns_everything():
     g = context_graph(occurrences=2)
     centers = sample_centers(g, "born_in", cfg_l1(sample_size=10))
@@ -71,7 +87,7 @@ def test_small_index_returns_everything():
 def test_aux_source_tops_up_sample():
     g = context_graph(occurrences=2)
     aux = context_graph(occurrences=20)
-    g.attach_aux(aux)
+    g.aux_source = aux
     centers = sample_centers(g, "born_in", cfg_l1(sample_size=10))
     assert len(centers) == 10
     assert sum(1 for _, from_aux in centers if not from_aux) == 2
