@@ -13,6 +13,7 @@ from .graph_store import (
     GraphFormatError,
     NALabelError,
     Tuple,
+    identifier,
     load_graph,
     read_tuples,
     save_graph,
@@ -191,10 +192,13 @@ def validate(graph, tuples_path, vcfg):
 def embed(graph, head, relation, tail, l, sort_paths, neighborhood):
     """Print the path embedding of one center tuple, one path per line."""
     _announce_neighborhood(neighborhood)
+    try:
+        center = Tuple(identifier(head), identifier(relation), identifier(tail))
+    except ValueError as exc:
+        raise _usage(exc) from exc
     g = _read(load_graph, graph)
     try:
-        pattern = extract_pattern(g, Tuple(head, relation, tail), l,
-                                  neighborhood=neighborhood)
+        pattern = extract_pattern(g, center, l, neighborhood=neighborhood)
         emb = traverse_r(pattern, l, mode=_mode(sort_paths))
     except (ValueError, NALabelError) as exc:
         raise _usage(exc) from exc

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .patterns import LocalizedPattern
 
@@ -33,9 +33,9 @@ class PathEmbedding:
     mode: str
     counts: dict  # canonical label sequence (tuple of str) -> walk-pair count
 
-    @property
+    @cached_property
     def size(self) -> int:
-        """Total multiset size, the sum of all counts."""
+        """Total multiset size, the sum of all counts, computed once."""
         return sum(self.counts.values())
 
     def is_empty(self) -> bool:
@@ -128,6 +128,11 @@ def multiset_intersection_size(m1: PathEmbedding, m2: PathEmbedding, edit_tolera
     most once.
     """
     _check_comparable(m1, m2)
+    return _intersection_size(m1, m2, edit_tolerance)
+
+
+def _intersection_size(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int) -> int:
+    # callers have checked that m1 and m2 compare
     if edit_tolerance < 0:
         raise ValueError("edit_tolerance must be >= 0")
     if edit_tolerance == 0:
@@ -159,7 +164,7 @@ def sim(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int = 0) -> float:
     _check_comparable(m1, m2)
     if m1.is_empty() or m2.is_empty():
         return 0.0
-    inter = multiset_intersection_size(m1, m2, edit_tolerance)
+    inter = _intersection_size(m1, m2, edit_tolerance)
     return inter / min(m1.size, m2.size)
 
 

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .graph_store import GraphFormatError, GraphStore, NA, Tuple, parse_tuple_line
+from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, parse_tuple_line
 from .repair import PredictionRecord, RepairDecision
 from .validation import UNKNOWN, VALID, ValidationConfig, classify
 
@@ -229,15 +229,20 @@ def benchmark_facts(
 
 def read_gold(path) -> list[GoldLabel]:
     gold = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")    # a byte that did not decode fails here
                 obj = json.loads(line)
-                gold.append(GoldLabel(id=str(obj["id"]), relation=str(obj["relation"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                relation = identifier(str(obj["relation"]))
+                gold.append(GoldLabel(id=str(obj["id"]), relation=relation))
+            except UnicodeEncodeError:
+                raise GraphFormatError(f"line {lineno}: not UTF-8") from None
+            except (ValueError, KeyError, TypeError) as exc:
                 raise GraphFormatError(f"line {lineno}: bad gold entry: {exc}") from exc
     return gold
 

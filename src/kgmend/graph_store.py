@@ -2,8 +2,11 @@
 
 The store keeps out/in adjacency and a relation-occurrence index, nothing
 else: degrees, vertices and the edge count are derived from them when asked
-for. Set semantics: the same tuple is never stored twice,
-but parallel edges with different labels between the same endpoints are fine.
+for. Beside them sit two read caches: each label's sorted occurrences, and
+the path embeddings of stored witness patterns with, for every vertex, the
+cached patterns that hold it. Set semantics: the same tuple is never stored
+twice, but parallel edges with different labels between the same endpoints
+are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
 """
@@ -37,6 +40,13 @@ class GraphStore:
     Single writer, many readers: mutation is only legal between read phases
     (the stream runner enforces the barrier). Reads never mutate state except
     the lazily rebuilt caches, which are deterministic.
+
+    A cached witness embedding stays valid until an edge is added or removed
+    at one of its pattern's vertices. A pattern holds its center edge, so every
+    vertex within l - 1 of either center endpoint is in it (in intersection
+    mode too), and any edge that can change its balls or the edges among its
+    vertices has an endpoint there. A mutation of (u, r, v) therefore evicts
+    exactly the entries registered under u or v, through `cache_embedding`.
     """
 
     def __init__(self) -> None:
@@ -48,6 +58,11 @@ class GraphStore:
         self._relation_order: dict[str, list[Tuple]] = {}
         # (center, l, mode, neighborhood) -> PathEmbedding of stored witnesses
         self.embedding_cache: dict = {}
+        # cache key -> its pattern's vertices, and vertex -> the cache key, or the
+        # set of keys, whose pattern holds it. Most vertices lie in one cached
+        # pattern, and a bare key spares them a set (216 bytes each).
+        self._cached_under: dict = {}
+        self._cache_keys: dict = {}
         self.aux_source: "GraphStore | None" = None
 
     # -- mutation ----------------------------------------------------------
@@ -61,7 +76,7 @@ class GraphStore:
         self._out.setdefault(s.head, set()).add((s.relation, s.tail))
         self._in.setdefault(s.tail, set()).add((s.relation, s.head))
         self._by_relation.setdefault(s.relation, set()).add(s)
-        self._touch(s.relation)
+        self._touch(s)
         return True
 
     def remove_tuple(self, s: Tuple) -> bool:
@@ -75,13 +90,45 @@ class GraphStore:
             bucket.discard(entry)
             if not bucket:
                 del index[key]
-        self._touch(s.relation)
+        self._touch(s)
         return True
 
-    def _touch(self, relation: str) -> None:
-        self._relation_order.pop(relation, None)
+    def _touch(self, s: Tuple) -> None:
+        self._relation_order.pop(s.relation, None)
         if self.embedding_cache:
-            self.embedding_cache.clear()
+            self._evict(s.head)
+            self._evict(s.tail)
+
+    def _evict(self, v: str) -> None:
+        """Drop every cached embedding whose pattern holds v, from all vertices."""
+        held = self._cache_keys.pop(v, None)
+        if held is None:
+            return
+        for key in held if type(held) is set else (held,):
+            del self.embedding_cache[key]
+            for w in self._cached_under.pop(key):
+                keys = self._cache_keys.get(w)
+                if type(keys) is set:
+                    keys.discard(key)
+                    if not keys:
+                        del self._cache_keys[w]
+                elif keys is not None:      # w held key alone; None is v itself
+                    del self._cache_keys[w]
+
+    def cache_embedding(self, key, embedding, vertices: frozenset[str]) -> None:
+        """Cache a witness embedding whose pattern spans `vertices`; `key` must
+        not be cached already."""
+        self.embedding_cache[key] = embedding
+        self._cached_under[key] = tuple(vertices)      # smaller than the frozenset
+        index = self._cache_keys
+        for v in vertices:
+            held = index.get(v)
+            if held is None:
+                index[v] = key
+            elif type(held) is set:
+                held.add(key)
+            else:
+                index[v] = {held, key}
 
     def bump_version(self) -> int:
         self.version += 1

@@ -210,7 +210,8 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                               status=REJECTED, joint=0.0, support=0)
     vcfg = cfg.validation
     initial = Tuple(rec.head, top_label, rec.tail)
-    ignore = context_ignore | {initial}
+    # under repair_instance the context already holds initial: no copy per record
+    ignore = context_ignore if initial in context_ignore else context_ignore | {initial}
     checks = 0
 
     def evaluate(label: str):

@@ -106,13 +106,14 @@ def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig) -> PathE
 
 
 def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) -> PathEmbedding:
-    """Embedding of a stored occurrence, cached on its store until a commit."""
+    """Embedding of a stored occurrence, cached on its store until an edge is
+    added or removed at one of its pattern's vertices."""
     key = (center, cfg.l, cfg.mode, cfg.neighborhood)
     cached = source.embedding_cache.get(key)
     if cached is None:
         pattern = extract_pattern(source, center, cfg.l, cfg.neighborhood)
         cached = traverse_r(pattern, cfg.l, cfg.mode)
-        source.embedding_cache[key] = cached
+        source.cache_embedding(key, cached, pattern.vertices)
     return cached
 
 

@@ -38,6 +38,12 @@ def random_center(rng: random.Random, g: GraphStore,
     return Tuple(head, rng.choice(labels), tail)
 
 
+def cache_registrations(g: GraphStore) -> set:
+    """(vertex, cache key) pairs in the store's reverse index of cached witnesses."""
+    return {(v, key) for v, held in g._cache_keys.items()
+            for key in (held if isinstance(held, set) else (held,))}
+
+
 @pytest.fixture
 def fixture_a() -> GraphStore:
     return load_graph(DATA / "fixture_a.tsv")

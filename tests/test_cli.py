@@ -59,6 +59,18 @@ def test_embed_announces_neighborhood_on_stderr(runner):
     assert "intersection" in result.stderr
 
 
+@pytest.mark.parametrize("option", ["--head", "--relation", "--tail"])
+def test_embed_rejects_a_bad_identifier_as_usage_error(runner, option):
+    args = {"--head": "India", "--relation": "C", "--tail": "Gorakhpur"}
+    args[option] = ""
+    result = runner.invoke(main, [
+        "embed", "--graph", str(DATA / "fixture_b.tsv"), "--l", "1",
+        *(part for item in args.items() for part in item),
+    ])
+    assert result.exit_code == 2
+    assert "empty" in result.stderr
+
+
 def test_validate_emits_one_json_line_per_tuple(runner, tmp_path):
     graph = support_graph_file(tmp_path)
     tuples = tmp_path / "cand.tsv"

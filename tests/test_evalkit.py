@@ -221,6 +221,18 @@ def test_read_gold_rejects_broken_lines(tmp_path):
         read_gold(path)
 
 
+@pytest.mark.parametrize("line", [
+    b'{"id": "r2", "relation": "a\xff"}',
+    b'{"id": "r2", "relation": ""}',
+    b'{"id": "r2", "relation": "  "}',
+], ids=["not-utf8", "empty", "blank"])
+def test_read_gold_rejects_bad_relations_with_the_line(tmp_path, line):
+    path = tmp_path / "gold.jsonl"
+    path.write_bytes(b'{"id": "r1", "relation": "a"}\n' + line + b"\n")
+    with pytest.raises(GraphFormatError, match="line 2"):
+        read_gold(path)
+
+
 def test_read_labeled_facts(tmp_path):
     path = tmp_path / "facts.tsv"
     path.write_text("# comment\na\tr\tb\t1\nc\ts\td\t0\n")

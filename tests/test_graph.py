@@ -7,6 +7,8 @@ import pytest
 from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, load_graph, save_graph
 from kgmend.graph_store import parse_tuple_line
 
+from conftest import cache_registrations
+
 
 def small_graph() -> GraphStore:
     g = GraphStore()
@@ -116,10 +118,23 @@ def test_overlay_restores_on_error():
     assert set(g.all_tuples()) == before
 
 
-def test_mutation_clears_embedding_cache():
+def test_mutation_evicts_exactly_the_patterns_holding_an_endpoint():
     g = small_graph()
-    g.embedding_cache["k"] = "v"
-    g.add_tuple(Tuple("x", "r", "y"))
+    g.cache_embedding("ab", "e1", frozenset({"a", "b"}))
+    g.cache_embedding("bc", "e2", frozenset({"b", "c"}))
+    g.cache_embedding("xy", "e3", frozenset({"x", "y"}))
+    g.add_tuple(Tuple("q", "r", "z"))              # touches no cached pattern
+    assert set(g.embedding_cache) == {"ab", "bc", "xy"}
+    g.add_tuple(Tuple("q", "s", "a"))              # a is only in "ab"
+    assert g.embedding_cache == {"bc": "e2", "xy": "e3"}
+    assert cache_registrations(g) == {("b", "bc"), ("c", "bc"), ("x", "xy"), ("y", "xy")}
+    g.remove_tuple(Tuple("b", "r", "c"))           # both endpoints in "bc"
+    assert g.embedding_cache == {"xy": "e3"}
+    assert cache_registrations(g) == {("x", "xy"), ("y", "xy")}
+    with g.overlay([Tuple("y", "r", "y")]):        # a self-loop at y, then its removal
+        assert g.embedding_cache == {}
+    assert cache_registrations(g) == set() and g._cached_under == {}
+    g.add_tuple(Tuple("y", "r", "x"))              # an empty cache stays empty
     assert g.embedding_cache == {}
 
 

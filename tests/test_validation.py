@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmend import (
     GraphStore,
@@ -17,7 +19,11 @@ from kgmend import (
     support,
     validate_instance,
 )
-from kgmend.validation import sample_centers
+from kgmend.embedding import MODES, traverse_r
+from kgmend.patterns import NEIGHBORHOODS, extract_pattern
+from kgmend.validation import sample_centers, witness_embedding
+
+from conftest import cache_registrations
 
 
 def cfg_l1(**kw) -> ValidationConfig:
@@ -230,3 +236,63 @@ def test_validate_instance_rejects_duplicates():
     s = Tuple("n1", "born_in", "m1")
     with pytest.raises(ValueError):
         validate_instance(g, [s, s], cfg_l1())
+
+
+# -- witness cache coherence ---------------------------------------------------
+
+_VERTEX = st.sampled_from([f"v{i}" for i in range(6)])
+_EDGE = st.builds(Tuple, _VERTEX, st.sampled_from(("r", "s")), _VERTEX)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _EDGE),
+    st.tuples(st.just("remove"), st.integers(0, 40)),
+    st.tuples(st.just("read"), st.none()),
+    st.tuples(st.just("overlay"), st.lists(_EDGE, max_size=3)),
+), max_size=20)
+
+
+def _read_witnesses(g: GraphStore, cfgs: list[ValidationConfig]) -> None:
+    for center in sorted(g.all_tuples()):
+        for cfg in cfgs:
+            witness_embedding(g, center, cfg)
+
+
+def _assert_cache_coherent(g: GraphStore) -> None:
+    """Every cached entry is what a fresh build gives now, and the reverse
+    index registers each live key under its pattern's vertices and nothing else."""
+    assert set(g._cached_under) == set(g.embedding_cache)
+    expected = set()
+    for key, cached in g.embedding_cache.items():
+        center, l, mode, neighborhood = key
+        pattern = extract_pattern(g, center, l, neighborhood)
+        assert cached == traverse_r(pattern, l, mode)
+        assert sorted(g._cached_under[key]) == sorted(pattern.vertices)
+        expected |= {(v, key) for v in pattern.vertices}
+    assert cache_registrations(g) == expected
+    assert all(g._cache_keys.values())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
+@settings(max_examples=60, deadline=None)
+@given(initial=st.lists(_EDGE, max_size=12), ops=_OPS)
+def test_cached_witnesses_equal_fresh_builds_after_any_mutation(neighborhood, mode, initial, ops):
+    cfgs = [ValidationConfig(l=l, mode=mode, neighborhood=neighborhood) for l in (1, 2)]
+    g = GraphStore()
+    for s in initial:
+        g.add_tuple(s)
+    _read_witnesses(g, cfgs)
+    for op, arg in ops:
+        if op == "add":
+            g.add_tuple(arg)
+        elif op == "remove":
+            stored = sorted(g.all_tuples())
+            if stored:
+                g.remove_tuple(stored[arg % len(stored)])
+        elif op == "read":
+            _read_witnesses(g, cfgs)
+        else:
+            with g.overlay(arg):
+                _assert_cache_coherent(g)
+                _read_witnesses(g, cfgs)
+                _assert_cache_coherent(g)
+        _assert_cache_coherent(g)
