@@ -238,8 +238,12 @@ def read_gold(path) -> list[GoldLabel]:
                 if not line.isascii():
                     line.encode("utf-8")    # a byte that did not decode fails here
                 obj = json.loads(line)
-                relation = identifier(str(obj["relation"]))
-                gold.append(GoldLabel(id=str(obj["id"]), relation=relation))
+                rid, relation = obj["id"], obj["relation"]
+                # the rule prediction records follow: strings, the relation as given
+                if not (isinstance(rid, str) and isinstance(relation, str)
+                        and identifier(relation) == relation):
+                    raise ValueError(f"bad id {rid!r} or relation {relation!r}")
+                gold.append(GoldLabel(id=rid, relation=relation))
             except UnicodeEncodeError:
                 raise GraphFormatError(f"line {lineno}: not UTF-8") from None
             except (ValueError, KeyError, TypeError) as exc:

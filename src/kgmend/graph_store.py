@@ -189,9 +189,6 @@ class GraphStore:
             if s.head != s.tail:        # self loops already came out of _out
                 yield s
 
-    def has_incident(self, v: str, skipping: frozenset[Tuple] = frozenset()) -> bool:
-        return any(s not in skipping for s in self.incident(v))
-
     def edges_between(self, u: str, v: str) -> set[Tuple]:
         """Edges with endpoint set {u, v}, either orientation (and loops if u == v)."""
         found = {Tuple(u, r, t) for r, t in self._out.get(u, ()) if t == v}

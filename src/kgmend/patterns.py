@@ -33,30 +33,6 @@ class LocalizedPattern:
         assert self.center in self.edges
 
 
-def undirected_dist(g: GraphStore, u: str, v: str, cap: int) -> int | None:
-    """Shortest edge-count path ignoring direction, None when > cap or unreachable."""
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    if not g.has_vertex(u) or not g.has_vertex(v):
-        return 0 if u == v else None
-    if u == v:
-        return 0
-    seen = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        d = seen[x]
-        if d == cap:
-            continue
-        for y in _neighbors(g, x):
-            if y not in seen:
-                seen[y] = d + 1
-                if y == v:
-                    return d + 1
-                queue.append(y)
-    return None
-
-
 def _neighbors(g: GraphStore, v: str):
     for s in g.out_edges(v):
         yield s.tail

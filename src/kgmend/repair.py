@@ -12,16 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .graph_store import GraphStore, NA, Tuple, identifier
-from .validation import (
-    INVALID,
-    UNKNOWN,
-    VALID,
-    Evidence,
-    ValidationConfig,
-    _decide_status,
-    gather_evidence,
-    support_from_evidence,
-)
+from .validation import UNKNOWN, VALID, ValidationConfig, gather_evidence, support_from_evidence
 
 ACCEPTED = "Accepted"
 REPAIRED = "Repaired"
@@ -79,7 +70,7 @@ class RepairDecision:
     joint: float
     support: int
     terminal: bool = False
-    checks: int = 0      # evidence evaluations spent, at most k + 1
+    checks: int = 0      # label checks spent, at most k
 
     def to_json(self) -> str:
         payload = {
@@ -114,6 +105,8 @@ def parse_record(obj: dict) -> PredictionRecord:
         raw = obj["candidates"]
     except (KeyError, TypeError) as exc:
         raise PredictionFormatError(f"record missing field: {exc}") from exc
+    if not isinstance(rid, str):
+        raise PredictionFormatError(f"record {rid!r}: id must be a string")
     if not isinstance(raw, list) or not raw:
         raise PredictionFormatError(f"record {rid!r}: candidates must be a nonempty list")
     candidates = []
@@ -129,7 +122,7 @@ def parse_record(obj: dict) -> PredictionRecord:
             raise PredictionFormatError(f"record {rid!r}: candidates not sorted by descending p")
         previous = p
         candidates.append((_field(relation, "relation", rid), p))
-    return PredictionRecord(id=str(rid), head=_field(head, "head", rid),
+    return PredictionRecord(id=rid, head=_field(head, "head", rid),
                             tail=_field(tail, "tail", rid), candidates=tuple(candidates))
 
 
@@ -151,13 +144,7 @@ def predict_link(g: GraphStore, h: str, t: str, r: str, cfg: ValidationConfig) -
     """
     if r == NA:
         raise ValueError("NA is not a predictable relation")
-    return _link_from_evidence(gather_evidence(g, Tuple(h, r, t), cfg))
-
-
-def _link_from_evidence(ev: Evidence) -> float:
-    if not ev.sims:
-        return 0.0
-    return sum(ev.sims) / len(ev.sims)
+    return gather_evidence(g, Tuple(h, r, t), cfg).link
 
 
 def _top_k_labels(rec: PredictionRecord, k: int) -> list[tuple[str, float]]:
@@ -199,10 +186,11 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     """Validate the Top-1 label, then walk the joint-ranked alternatives.
 
     Unknown classifications follow cfg.unknown_policy: accept passes them,
-    hold defers the whole record, reject treats them as failures. At most
-    k + 1 evidence evaluations are spent per record. `context_ignore` names
-    provisional tuples sharing the snapshot that must not count as committed
-    evidence; the record's own Top-1 tuple is always ignored.
+    hold defers the whole record, reject treats them as failures. Each
+    Top-k label is checked at most once, Top-1 first, so at most k checks
+    are spent per record. `context_ignore` names provisional tuples sharing
+    the snapshot that must not count as committed evidence; the record's own
+    Top-1 tuple is always ignored.
     """
     top_label, top_p = rec.candidates[0]
     if top_label == NA or top_p < cfg.p_th:
@@ -212,48 +200,26 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     initial = Tuple(rec.head, top_label, rec.tail)
     # under repair_instance the context already holds initial: no copy per record
     ignore = context_ignore if initial in context_ignore else context_ignore | {initial}
-    checks = 0
 
-    def evaluate(label: str):
-        nonlocal checks
-        checks += 1
+    def passes(report) -> bool:
+        return report.status == VALID or (report.status == UNKNOWN and cfg.unknown_policy == "accept")
+
+    rows = []       # (label, p, joint, report); Top-1 is not NA, so it comes first
+    for label, p in _top_k_labels(rec, cfg.k):
         s = Tuple(rec.head, label, rec.tail)
         ev = gather_evidence(g, s, vcfg, ignore)
-        report = support_from_evidence(g, s, vcfg, ev, ignore)
-        return s, ev, _decide_status(g, s, vcfg, report, ignore)
-
-    _, ev0, report0 = evaluate(top_label)
-    joint0 = top_p * _link_from_evidence(ev0)
-    if report0.status == VALID or (report0.status == UNKNOWN and cfg.unknown_policy == "accept"):
-        return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label,
-                              final=top_label, status=ACCEPTED, joint=joint0,
-                              support=report0.support_count, checks=checks)
-    unknown_seen = report0.status == UNKNOWN
-
-    ranked = []
-    for label, p in _top_k_labels(rec, cfg.k):
-        if label == top_label:
-            continue
-        s, ev, report = evaluate(label)
-        joint = p * _link_from_evidence(ev)
-        ranked.append((label, p, joint, report))
-    ranked.sort(key=_by_joint)
-
-    for label, _, joint, report in ranked:
-        if report.status == VALID or (report.status == UNKNOWN and cfg.unknown_policy == "accept"):
-            return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label,
-                                  final=label, status=REPAIRED, joint=joint,
-                                  support=report.support_count, checks=checks)
-        if report.status == UNKNOWN:
-            unknown_seen = True
-
-    if unknown_seen and cfg.unknown_policy == "hold":
-        status = HELD
-    else:
-        status = REJECTED
+        rows.append((label, p, p * ev.link, support_from_evidence(g, s, vcfg, ev, ignore)))
+        if len(rows) == 1 and passes(rows[0][3]):
+            break               # Top-1 stands: the alternatives are never checked
+    for label, _, joint, report in rows[:1] + sorted(rows[1:], key=_by_joint):
+        if passes(report):
+            return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=label,
+                                  status=ACCEPTED if label == top_label else REPAIRED,
+                                  joint=joint, support=report.support_count, checks=len(rows))
+    held = cfg.unknown_policy == "hold" and any(row[3].status == UNKNOWN for row in rows)
     return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=NA,
-                          status=status, joint=0.0, support=report0.support_count,
-                          checks=checks)
+                          status=HELD if held else REJECTED, joint=0.0,
+                          support=rows[0][3].support_count, checks=len(rows))
 
 
 def repair_instance(g: GraphStore, records: list[PredictionRecord],
@@ -272,7 +238,11 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
 # -- prediction and decision files -------------------------------------------
 
 def iter_prediction_lines(path):
-    """Yield parsed records, or PredictionFormatError for lines that fail."""
+    """Yield parsed records, or PredictionFormatError for lines that fail.
+
+    A record whose id repeats an earlier record's id fails.
+    """
+    seen = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -281,7 +251,11 @@ def iter_prediction_lines(path):
             try:
                 if not line.isascii():
                     line.encode("utf-8")    # a byte that did not decode fails here
-                yield parse_record(json.loads(line))
+                rec = parse_record(json.loads(line))
+                if rec.id in seen:
+                    raise PredictionFormatError(f"duplicate id {rec.id!r}")
+                seen.add(rec.id)
+                yield rec
             except UnicodeEncodeError:
                 yield PredictionFormatError(f"line {lineno}: not UTF-8")
             except (json.JSONDecodeError, PredictionFormatError) as exc:

@@ -55,7 +55,7 @@ class ValidationConfig:
 class SupportReport:
     tuple: Tuple
     support_count: int
-    status: str | None
+    status: str
     witnesses: list = field(default_factory=list)   # (center tuple, from_aux)
     escalated: bool = False
     heuristic: bool = False
@@ -124,6 +124,13 @@ class Evidence:
     centers: list            # (center tuple, from_aux), sample order
     sims: list
 
+    @property
+    def link(self) -> float:
+        """The linkage prediction: mean sampled similarity, 0.0 on an empty sample."""
+        if not self.sims:
+            return 0.0
+        return sum(self.sims) / len(self.sims)
+
 
 def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
                     ignore: frozenset = frozenset()) -> Evidence:
@@ -140,6 +147,13 @@ def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
 
 def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Evidence,
                           ignore: frozenset = frozenset()) -> SupportReport:
+    """Decide s from its evidence: the one place a label check is decided.
+
+    Witnesses are sampled centers with sim above theta; when fewer than delta,
+    a scan over the remaining occurrences looks for more. Short of delta, the
+    committed edges at s's endpoints decide between Invalid and Unknown; s
+    itself and the `ignore` tuples count for neither.
+    """
     witnesses = [ev.centers[i] for i, v in enumerate(ev.sims) if v > cfg.theta]
     count = len(witnesses)
     escalated = False
@@ -156,34 +170,20 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
             if sim(ev.candidate, witness_embedding(g, center, cfg), cfg.edit_tolerance) > cfg.theta:
                 witnesses.append((center, False))
                 count += 1
-    return SupportReport(tuple=s, support_count=count, status=None,
-                         witnesses=witnesses, escalated=escalated)
-
-
-def support(g: GraphStore, s: Tuple, cfg: ValidationConfig,
-            ignore: frozenset = frozenset()) -> SupportReport:
-    """Count sampled witnesses with sim above theta, escalating when short."""
-    if s.relation == NA:
-        raise ValueError("NA tuples are never validated")
-    return support_from_evidence(g, s, cfg, gather_evidence(g, s, cfg, ignore), ignore)
-
-
-def _decide_status(g: GraphStore, s: Tuple, cfg: ValidationConfig,
-                   report: SupportReport, ignore: frozenset) -> SupportReport:
-    if report.support_count >= cfg.delta:
-        report.status = VALID
-        return report
-    skip = ignore | {s}
-    between = g.edges_between(s.head, s.tail) - skip
-    if any(e.relation != s.relation for e in between):
-        report.status = INVALID            # a differently labeled fact already links the endpoints
-    elif not between and (g.has_incident(s.head, skip) or g.has_incident(s.tail, skip)):
-        report.status = INVALID            # the endpoints are known but nothing supports this link
+    if count >= cfg.delta:
+        status = VALID
     else:
-        report.status = UNKNOWN
-    if report.status == INVALID and cfg.l > 1:
-        report.heuristic = True            # the invalidity argument is only proven at l = 1
-    return report
+        between = [e for e in g.edges_between(s.head, s.tail) if e != s and e not in ignore]
+        if any(e.relation != s.relation for e in between):
+            status = INVALID       # a differently labeled fact already links the endpoints
+        elif not between and any(e != s and e not in ignore
+                                 for v in (s.head, s.tail) for e in g.incident(v)):
+            status = INVALID       # the endpoints are known but nothing supports this link
+        else:
+            status = UNKNOWN
+    # the invalidity argument is only proven at l = 1
+    return SupportReport(tuple=s, support_count=count, status=status, witnesses=witnesses,
+                         escalated=escalated, heuristic=status == INVALID and cfg.l > 1)
 
 
 def classify(g: GraphStore, s: Tuple, cfg: ValidationConfig,
@@ -195,8 +195,9 @@ def classify(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     nor for the Invalid conditions (a record's own provisional fact never
     testifies for or against its alternatives).
     """
-    report = support(g, s, cfg, ignore)
-    return _decide_status(g, s, cfg, report, ignore)
+    if s.relation == NA:
+        raise ValueError("NA tuples are never validated")
+    return support_from_evidence(g, s, cfg, gather_evidence(g, s, cfg, ignore), ignore)
 
 
 def validate_instance(

@@ -8,7 +8,7 @@ caps keep runtimes sane; none of this is reachable from the CLI.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -233,3 +233,28 @@ def exact_sim(p1: LocalizedPattern, p2: LocalizedPattern) -> float:
     """Matched-pair count of the best center-pinned matching over min pattern size."""
     witness = best_common_match(p1, p2)
     return witness.pairs / min(len(p1.vertices), len(p2.vertices))
+
+
+def undirected_dist(g: GraphStore, u: str, v: str, cap: int) -> int | None:
+    """Shortest edge-count path ignoring direction, None when > cap or unreachable."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    if not g.has_vertex(u) or not g.has_vertex(v):
+        return 0 if u == v else None
+    if u == v:
+        return 0
+    seen = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        d = seen[x]
+        if d == cap:
+            continue
+        for e in g.incident(x):
+            y = e.tail if e.head == x else e.head
+            if y not in seen:
+                seen[y] = d + 1
+                if y == v:
+                    return d + 1
+                queue.append(y)
+    return None

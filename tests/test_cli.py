@@ -255,7 +255,8 @@ def test_prediction_byte_that_is_not_utf8_is_a_malformed_record(runner, tmp_path
 
 
 # each of these was once committed by `enhance`, and its --out-graph file then
-# failed to load, dropped the line as a comment or read the head back changed
+# failed to load, dropped the line as a comment or read the head back changed;
+# a non-string id was decided under its str(), so `null` became "None"
 BAD_FIELDS = {
     "empty": {"head": ""},
     "tab": {"head": "h\tx"},
@@ -265,6 +266,8 @@ BAD_FIELDS = {
     "null": {"head": None},
     "empty-relation": {"candidates": [{"relation": "", "p": 0.9}]},
     "surrogate": {"head": "\ud800"},
+    "null-id": {"id": None},
+    "number-id": {"id": 7},
 }
 
 
@@ -287,6 +290,26 @@ def test_bad_identifiers_are_malformed_records(runner, tmp_path, bad):
     result = runner.invoke(main, ["inject-errors", "--predictions", str(preds), "--rate", "0.5"])
     assert result.exit_code == 2
     assert "line 1" in result.stderr
+
+
+def test_duplicate_record_id_is_a_malformed_record(runner, tmp_path):
+    graph = support_graph_file(tmp_path)
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({
+        "id": rid, "head": "h", "tail": tail, "candidates": [{"relation": "r", "p": 0.9}],
+    }) + "\n" for rid, tail in (("x", "t1"), ("x", "t2"), ("y", "t3"))))
+    metrics = tmp_path / "metrics.jsonl"
+    result = runner.invoke(main, [
+        "enhance", "--graph", str(graph), "--predictions", str(preds),
+        "--l", "1", "--sample-size", "4", "--metrics", str(metrics),
+    ])
+    assert result.exit_code == 0
+    assert json.loads(metrics.read_text())["malformed"] == 1
+    decided = [(d["id"], d["tail"]) for d in map(json.loads, result.stdout.splitlines())]
+    assert decided == [("x", "t1"), ("y", "t3")]     # the first record with the id is kept
+    result = runner.invoke(main, ["inject-errors", "--predictions", str(preds), "--rate", "0.5"])
+    assert result.exit_code == 2
+    assert "line 2: duplicate id 'x'" in result.stderr
 
 
 _NAMES = st.text(st.sampled_from(["a", "h", "N", "A", " ", "\t", "\r", "\n", "#", "\x0c", "\x85"]),

@@ -225,7 +225,13 @@ def test_read_gold_rejects_broken_lines(tmp_path):
     b'{"id": "r2", "relation": "a\xff"}',
     b'{"id": "r2", "relation": ""}',
     b'{"id": "r2", "relation": "  "}',
-], ids=["not-utf8", "empty", "blank"])
+    b'{"id": "r2", "relation": " a"}',
+    b'{"id": "r2", "relation": null}',
+    b'{"id": "r2", "relation": 7}',
+    b'{"id": null, "relation": "a"}',
+    b'{"id": 2, "relation": "a"}',
+], ids=["not-utf8", "empty", "blank", "padded", "null-relation", "number-relation",
+        "null-id", "number-id"])
 def test_read_gold_rejects_bad_relations_with_the_line(tmp_path, line):
     path = tmp_path / "gold.jsonl"
     path.write_bytes(b'{"id": "r1", "relation": "a"}\n' + line + b"\n")

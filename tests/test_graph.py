@@ -88,14 +88,6 @@ def test_edges_between_covers_both_orientations():
     assert g.edges_between("a", "a") == {Tuple("a", "t", "a")}
 
 
-def test_has_incident_honors_skip_set():
-    g = GraphStore()
-    s = Tuple("a", "r", "b")
-    g.add_tuple(s)
-    assert g.has_incident("a")
-    assert not g.has_incident("a", skipping=frozenset([s]))
-
-
 def test_overlay_adds_then_restores():
     g = small_graph()
     before = set(g.all_tuples())

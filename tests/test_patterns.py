@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kgmend import GraphStore, Tuple, extract_pattern, undirected_dist
+from kgmend import GraphStore, Tuple, extract_pattern
 
 from conftest import random_center, random_graph
+from oracle import undirected_dist
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,

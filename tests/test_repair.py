@@ -176,7 +176,7 @@ def test_invalid_initial_repaired_to_supported_label():
     assert decision.final == "r"
     assert decision.final != NA
     assert decision.checks == 2
-    assert decision.checks <= rcfg().k + 1
+    assert decision.checks <= rcfg().k
 
 
 def test_top1_na_is_rejected_outright():

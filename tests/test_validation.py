@@ -16,7 +16,6 @@ from kgmend import (
     VALID,
     ValidationConfig,
     classify,
-    support,
     validate_instance,
 )
 from kgmend.embedding import MODES, traverse_r
@@ -103,7 +102,7 @@ def test_aux_source_tops_up_sample():
 def test_support_counts_similar_witnesses():
     g = context_graph(occurrences=3)
     g.add_tuple(Tuple("p9", "works_in", "w9"))
-    report = support(g, Tuple("p9", "born_in", "c9"), cfg_l1())
+    report = classify(g, Tuple("p9", "born_in", "c9"), cfg_l1())
     assert report.support_count == 3
     assert {c for c, _ in report.witnesses} == {Tuple(f"p{i}", "born_in", f"c{i}") for i in range(3)}
 
@@ -118,9 +117,9 @@ def test_theta_is_a_strict_bound():
     g.add_tuple(Tuple("p9", "works_in", "w9"))
     g.add_tuple(Tuple("p9", "plays", "y9"))
     s = Tuple("p9", "born_in", "c9")
-    at = support(g, s, replace(cfg_l1(), theta=0.5, scan_cap=0))
+    at = classify(g, s, replace(cfg_l1(), theta=0.5, scan_cap=0))
     assert at.support_count == 0
-    below = support(g, s, replace(cfg_l1(), theta=0.49, scan_cap=0))
+    below = classify(g, s, replace(cfg_l1(), theta=0.49, scan_cap=0))
     assert below.support_count == 3
 
 
@@ -157,7 +156,7 @@ def test_scan_cap_limits_escalation():
     g.add_tuple(Tuple("p9", "works_in", "w9"))
     s = Tuple("p9", "born_in", "c9")
     capped = ValidationConfig(l=1, sample_size=2, seed=3, scan_cap=5)
-    report = support(g, s, capped)
+    report = classify(g, s, capped)
     sampled = {c for c, _ in sample_centers(g, "born_in", capped, exclude=s)}
     if Tuple("zz_twin", "born_in", "tc") not in sampled:
         assert report.support_count == 0
@@ -201,6 +200,19 @@ def test_ignored_tuples_do_not_testify():
                       ignore=frozenset([provisional]))
     # with the provisional edge ignored the endpoints are bare again
     assert report.status == UNKNOWN
+
+
+def test_committed_candidate_does_not_testify_for_itself():
+    # s is already in the graph, has no same-label support, and its head has
+    # another edge: its own edge is neither "between" evidence nor the only
+    # incident edge, so the other edge makes it Invalid
+    g = GraphStore()
+    s = Tuple("p9", "born_in", "c9")
+    g.add_tuple(s)
+    g.add_tuple(Tuple("p9", "visited", "x"))
+    report = classify(g, s, cfg_l1())
+    assert report.support_count == 0
+    assert report.status == INVALID
 
 
 def test_na_candidate_rejected():
