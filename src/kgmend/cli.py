@@ -18,7 +18,7 @@ from .graph_store import (
     read_tuples,
     save_graph,
 )
-from .patterns import NEIGHBORHOODS, extract_pattern
+from .patterns import extract_pattern
 from .repair import (
     PredictionFormatError,
     RepairConfig,
@@ -49,17 +49,14 @@ def _mode(sort_paths: str) -> str:
 def validation_options(fn):
     """Add the shared validation flags; the command receives them as one `vcfg`."""
     @functools.wraps(fn)
-    def command(l, sample_size, theta, delta, seed, edit_tolerance, sort_paths,
-                neighborhood, **kwargs):
+    def command(l, sample_size, theta, delta, seed, edit_tolerance, sort_paths, **kwargs):
         try:
             vcfg = ValidationConfig(
                 l=l, theta=theta, delta=delta, sample_size=sample_size, seed=seed,
                 edit_tolerance=edit_tolerance, mode=_mode(sort_paths),
-                neighborhood=neighborhood,
             )
         except ValueError as exc:
             raise _usage(exc) from exc
-        _announce_neighborhood(neighborhood)
         return fn(vcfg=vcfg, **kwargs)
 
     opts = [
@@ -77,18 +74,10 @@ def validation_options(fn):
                      help="Label-token edits allowed when matching paths."),
         click.option("--sort-paths", type=click.Choice(["on", "off"]), default="on",
                      show_default=True, help="Order-insensitive path canonicalization."),
-        click.option("--neighborhood", type=click.Choice(list(NEIGHBORHOODS)),
-                     default="union", show_default=True,
-                     help="Ball construction around pattern centers."),
     ]
     for opt in reversed(opts):
         command = opt(command)
     return command
-
-
-def _announce_neighborhood(neighborhood: str) -> None:
-    # keep stdout clean for machine-readable output
-    click.echo(f"pattern neighborhood: {neighborhood} of endpoint balls", err=True)
 
 
 def _read(reader, path):
@@ -187,18 +176,15 @@ def validate(graph, tuples_path, vcfg):
 @click.option("--l", "l", type=int, default=2, show_default=True)
 @click.option("--sort-paths", type=click.Choice(["on", "off"]), default="on",
               show_default=True)
-@click.option("--neighborhood", type=click.Choice(list(NEIGHBORHOODS)),
-              default="union", show_default=True)
-def embed(graph, head, relation, tail, l, sort_paths, neighborhood):
+def embed(graph, head, relation, tail, l, sort_paths):
     """Print the path embedding of one center tuple, one path per line."""
-    _announce_neighborhood(neighborhood)
     try:
         center = Tuple(identifier(head), identifier(relation), identifier(tail))
     except ValueError as exc:
         raise _usage(exc) from exc
     g = _read(load_graph, graph)
     try:
-        pattern = extract_pattern(g, center, l, neighborhood=neighborhood)
+        pattern = extract_pattern(g, center, l)
         emb = traverse_r(pattern, l, mode=_mode(sort_paths))
     except (ValueError, NALabelError) as exc:
         raise _usage(exc) from exc

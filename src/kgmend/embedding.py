@@ -120,19 +120,13 @@ def _edit_distance(a: tuple[str, ...], b: tuple[str, ...], limit: int) -> int:
     return prev[-1]
 
 
-def multiset_intersection_size(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int = 0) -> int:
+def _intersection_size(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int) -> int:
     """Size of the multiset intersection, the common-path count.
 
     With edit_tolerance > 0, sequences within that token edit distance are
     merged greedily in canonical order; every occurrence count is consumed at
-    most once.
+    most once. The caller has checked that m1 and m2 compare.
     """
-    _check_comparable(m1, m2)
-    return _intersection_size(m1, m2, edit_tolerance)
-
-
-def _intersection_size(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int) -> int:
-    # callers have checked that m1 and m2 compare
     if edit_tolerance < 0:
         raise ValueError("edit_tolerance must be >= 0")
     if edit_tolerance == 0:

@@ -2,7 +2,7 @@
 
 The planted benchmark gives every relation label a small characteristic
 context motif, so structural validation has real signal to find: a correct
-candidate's neighborhood looks like the stored occurrences of its label, a
+candidate's pattern looks like the stored occurrences of its label, a
 mislabeled one does not.
 """
 
@@ -228,7 +228,9 @@ def benchmark_facts(
 # -- file formats --------------------------------------------------------------
 
 def read_gold(path) -> list[GoldLabel]:
+    """Gold labels, JSON lines `{"id": ..., "relation": ...}`; ids are unique."""
     gold = []
+    ids = set()
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -243,6 +245,9 @@ def read_gold(path) -> list[GoldLabel]:
                 if not (isinstance(rid, str) and isinstance(relation, str)
                         and identifier(relation) == relation):
                     raise ValueError(f"bad id {rid!r} or relation {relation!r}")
+                if rid in ids:
+                    raise ValueError(f"duplicate id {rid!r}")
+                ids.add(rid)
                 gold.append(GoldLabel(id=rid, relation=relation))
             except UnicodeEncodeError:
                 raise GraphFormatError(f"line {lineno}: not UTF-8") from None

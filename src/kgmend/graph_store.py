@@ -43,10 +43,10 @@ class GraphStore:
 
     A cached witness embedding stays valid until an edge is added or removed
     at one of its pattern's vertices. A pattern holds its center edge, so every
-    vertex within l - 1 of either center endpoint is in it (in intersection
-    mode too), and any edge that can change its balls or the edges among its
-    vertices has an endpoint there. A mutation of (u, r, v) therefore evicts
-    exactly the entries registered under u or v, through `cache_embedding`.
+    vertex within l - 1 of either center endpoint is in it, and any edge that
+    can change its ball or the edges among its vertices has an endpoint there.
+    A mutation of (u, r, v) therefore evicts exactly the entries registered
+    under u or v, through `cache_embedding`.
     """
 
     def __init__(self) -> None:
@@ -56,7 +56,7 @@ class GraphStore:
         self.version = 0
         # relation -> occurrences sorted by (head, tail); rebuilt on demand
         self._relation_order: dict[str, list[Tuple]] = {}
-        # (center, l, mode, neighborhood) -> PathEmbedding of stored witnesses
+        # (center, l, mode) -> PathEmbedding of stored witnesses
         self.embedding_cache: dict = {}
         # cache key -> its pattern's vertices, and vertex -> the cache key, or the
         # set of keys, whose pattern holds it. Most vertices lie in one cached

@@ -1,13 +1,10 @@
-"""Localized patterns: the l-neighborhood subgraph around a center tuple.
+"""Localized patterns: the l-ball subgraph around a center tuple.
 
-The center may be hypothetical (a candidate not yet in the graph); distances
-are then computed over the graph plus the center edge, so a fresh entity pair
-still yields the minimal two-vertex pattern.
-
-Two neighborhood readings exist: "union" keeps every vertex within l of the
-head OR of the tail, "intersection" requires both. Union is the default, it
-is the only reading consistent with walk enumeration expanding independently
-from each endpoint; the intersection variant is kept for study.
+The pattern keeps every vertex within l undirected steps of the head OR of
+the tail, the only reading consistent with walk enumeration expanding
+independently from each endpoint. The center may be hypothetical (a
+candidate not yet in the graph): its edge is always part of the pattern, so
+a fresh entity pair still yields the minimal two-vertex pattern.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from dataclasses import dataclass
 
 from .graph_store import GraphStore, NA, Tuple
 
-NEIGHBORHOODS = ("union", "intersection")
-
 
 @dataclass(frozen=True)
 class LocalizedPattern:
@@ -26,7 +21,6 @@ class LocalizedPattern:
     radius: int
     vertices: frozenset[str]
     edges: frozenset[Tuple]
-    center_hypothetical: bool
 
     def __post_init__(self):
         assert self.center.head in self.vertices and self.center.tail in self.vertices
@@ -40,47 +34,33 @@ def _neighbors(g: GraphStore, v: str):
         yield s.head
 
 
-def _ball(g: GraphStore, start: str, cap: int, center: Tuple) -> set[str]:
-    """Vertices within cap undirected steps of start, over g plus the center edge."""
-    seen = {start: 0}
-    queue = deque([start])
+def _ball(g: GraphStore, center: Tuple, cap: int) -> set[str]:
+    """Vertices within cap undirected steps of either center endpoint.
+
+    One BFS over g seeded at both endpoints: the center edge would only join
+    two vertices already at distance 0, so it shortens no distance.
+    """
+    seen = dict.fromkeys((center.head, center.tail), 0)
+    queue = deque(seen)
     while queue:
         x = queue.popleft()
         d = seen[x]
         if d == cap:
             continue
-        reachable = list(_neighbors(g, x))
-        if x == center.head:
-            reachable.append(center.tail)
-        if x == center.tail:
-            reachable.append(center.head)
-        for y in reachable:
+        for y in _neighbors(g, x):
             if y not in seen:
                 seen[y] = d + 1
                 queue.append(y)
     return set(seen)
 
 
-def extract_pattern(
-    g: GraphStore,
-    center: Tuple,
-    l: int,
-    neighborhood: str = "union",
-) -> LocalizedPattern:
+def extract_pattern(g: GraphStore, center: Tuple, l: int) -> LocalizedPattern:
     """Build the localized pattern of radius l around center, over g plus center."""
     if l < 1:
         raise ValueError("pattern radius must be >= 1")
     if center.relation == NA:
         raise ValueError("cannot build a pattern around an NA-labeled center")
-    if neighborhood not in NEIGHBORHOODS:
-        raise ValueError(f"unknown neighborhood semantics {neighborhood!r}")
-    head_ball = _ball(g, center.head, l, center)
-    tail_ball = _ball(g, center.tail, l, center)
-    if neighborhood == "union":
-        vertices = head_ball | tail_ball
-    else:
-        vertices = head_ball & tail_ball
-    vertices |= {center.head, center.tail}
+    vertices = _ball(g, center, l)
     edges = {center}
     for v in vertices:
         for s in g.out_edges(v):
@@ -91,7 +71,6 @@ def extract_pattern(
         radius=l,
         vertices=frozenset(vertices),
         edges=frozenset(edges),
-        center_hypothetical=center not in g,
     )
 
 

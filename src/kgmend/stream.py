@@ -21,7 +21,6 @@ from .repair import (
     HELD,
     REJECTED,
     REPAIRED,
-    PredictionFormatError,
     PredictionRecord,
     RepairConfig,
     RepairDecision,
@@ -115,8 +114,9 @@ def run(
 ) -> tuple[list[RepairDecision], list[SliceResult]]:
     """Drive the acquisition / validate-repair / enhance loop over slices.
 
-    `prediction_stream` yields PredictionRecord values; PredictionFormatError
-    values are counted as malformed and skipped. Returns the resolved
+    `prediction_stream` yields PredictionRecord values; anything else, such
+    as a PredictionFormatError, and a record whose id repeats an earlier
+    record's id are counted as malformed and skipped. Returns the resolved
     decision log (one entry per record, in resolution order) and one
     SliceResult per slice. The graph is enhanced in place.
     """
@@ -125,10 +125,15 @@ def run(
     held: list[tuple[PredictionRecord, int, RepairDecision]] = []   # record, attempts, last decision
     log: list[RepairDecision] = []
     results: list[SliceResult] = []
+    ids: set[str] = set()
 
     for index, raw_slice in enumerate(_chunks(prediction_stream, slice_size)):
-        malformed = sum(1 for item in raw_slice if isinstance(item, PredictionFormatError))
-        fresh = [item for item in raw_slice if isinstance(item, PredictionRecord)]
+        fresh = []
+        for item in raw_slice:
+            if isinstance(item, PredictionRecord) and item.id not in ids:
+                ids.add(item.id)
+                fresh.append(item)
+        malformed = len(raw_slice) - len(fresh)
         batch = [(rec, attempts) for rec, attempts, _ in held] + [(rec, 0) for rec in fresh]
         held = []
         records = [rec for rec, _ in batch]

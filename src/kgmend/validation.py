@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
 from .graph_store import GraphStore, NA, Tuple
-from .patterns import NEIGHBORHOODS, extract_pattern
+from .patterns import extract_pattern
 
 VALID = "Valid"
 INVALID = "Invalid"
@@ -32,7 +32,6 @@ class ValidationConfig:
     scan_cap: int = 200         # escalation scan length; 0 turns the scan off
     edit_tolerance: int = 0
     mode: str = "sorted"
-    neighborhood: str = "union"
 
     def __post_init__(self):
         if self.l < 1:
@@ -47,8 +46,6 @@ class ValidationConfig:
             raise ValueError("scan_cap and edit_tolerance must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown canonicalization mode {self.mode!r}")
-        if self.neighborhood not in NEIGHBORHOODS:
-            raise ValueError(f"unknown neighborhood semantics {self.neighborhood!r}")
 
 
 @dataclass
@@ -101,17 +98,17 @@ def sample_centers(
 
 def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig) -> PathEmbedding:
     """Embedding of the candidate's own pattern, built over g plus the candidate."""
-    pattern = extract_pattern(g, s, cfg.l, cfg.neighborhood)
+    pattern = extract_pattern(g, s, cfg.l)
     return traverse_r(pattern, cfg.l, cfg.mode)
 
 
 def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) -> PathEmbedding:
     """Embedding of a stored occurrence, cached on its store until an edge is
     added or removed at one of its pattern's vertices."""
-    key = (center, cfg.l, cfg.mode, cfg.neighborhood)
+    key = (center, cfg.l, cfg.mode)
     cached = source.embedding_cache.get(key)
     if cached is None:
-        pattern = extract_pattern(source, center, cfg.l, cfg.neighborhood)
+        pattern = extract_pattern(source, center, cfg.l)
         cached = traverse_r(pattern, cfg.l, cfg.mode)
         source.cache_embedding(key, cached, pattern.vertices)
     return cached
@@ -198,19 +195,3 @@ def classify(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     if s.relation == NA:
         raise ValueError("NA tuples are never validated")
     return support_from_evidence(g, s, cfg, gather_evidence(g, s, cfg, ignore), ignore)
-
-
-def validate_instance(
-    g: GraphStore, instance: list[Tuple], cfg: ValidationConfig
-) -> tuple[list[SupportReport], bool]:
-    """Classify every instance tuple against g plus the whole instance.
-
-    Legality only requires the absence of Invalid tuples; Unknown is fine.
-    """
-    if len(set(instance)) != len(instance):
-        raise ValueError("instance tuples must be pairwise distinct")
-    ignore = frozenset(instance)
-    with g.overlay(instance):
-        reports = [classify(g, s, cfg, ignore=ignore) for s in instance]
-    legal = all(r.status != INVALID for r in reports)
-    return reports, legal

@@ -49,16 +49,6 @@ def test_embed_reproduces_golden_file(runner):
     assert result.stdout_bytes == (GOLDEN / "fixture_b_l1.txt").read_bytes()
 
 
-def test_embed_announces_neighborhood_on_stderr(runner):
-    result = runner.invoke(main, [
-        "embed", "--graph", str(DATA / "fixture_b.tsv"),
-        "--head", "India", "--relation", "C", "--tail", "Gorakhpur", "--l", "1",
-        "--neighborhood", "intersection",
-    ])
-    assert result.exit_code == 0
-    assert "intersection" in result.stderr
-
-
 @pytest.mark.parametrize("option", ["--head", "--relation", "--tail"])
 def test_embed_rejects_a_bad_identifier_as_usage_error(runner, option):
     args = {"--head": "India", "--relation": "C", "--tail": "Gorakhpur"}
@@ -131,6 +121,27 @@ def test_bad_config_value_exits_two(runner, tmp_path):
         "validate", "--graph", str(graph), "--tuples", str(tuples), "--l", "0",
     ])
     assert result.exit_code == 2
+
+
+# every command's knobs, spelled out: adding or removing one changes this test
+_VALIDATION = {"l", "sample_size", "theta", "delta", "seed", "edit_tolerance", "sort_paths"}
+COMMAND_OPTIONS = {
+    "enhance": _VALIDATION | {
+        "graph", "predictions", "k", "p_th", "slice_size", "unknown_policy", "max_hold",
+        "workers", "aux_graph", "label_map", "out_decisions", "out_graph", "metrics"},
+    "validate": _VALIDATION | {"graph", "tuples_path"},
+    "embed": {"graph", "head", "relation", "tail", "l", "sort_paths"},
+    "predict-links": _VALIDATION | {"graph", "tuples_path"},
+    "inject-errors": {"predictions", "rate", "seed", "out"},
+    "detect-errors": _VALIDATION | {"graph", "facts", "unknown_true"},
+    "stats": {"graph"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    assert set(main.commands) == set(COMMAND_OPTIONS)
+    for name, command in main.commands.items():
+        assert {p.name for p in command.params} == COMMAND_OPTIONS[name], name
 
 
 def test_stats_reports_counts(runner, tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from kgmend import GraphStore, Tuple, extract_pattern, multiset_intersection_size, sim, traverse_r
+from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
 from kgmend.embedding import PathEmbedding, format_embedding
 
 CENTER_B = Tuple("India", "C", "Gorakhpur")
@@ -94,8 +94,7 @@ def _emb(counts, center="r", radius=1, mode="sorted"):
 def test_intersection_takes_minimum_per_path():
     m1 = _emb({("r", "a"): 3, ("r", "b"): 1})
     m2 = _emb({("r", "a"): 2, ("r", "c"): 5})
-    assert multiset_intersection_size(m1, m2) == 2
-    assert multiset_intersection_size(m2, m1) == 2
+    assert sim(m1, m2) == sim(m2, m1) == pytest.approx(2 / 4)
 
 
 def test_sim_normalizes_by_smaller_size():
@@ -125,15 +124,15 @@ def test_sim_rejects_incomparable_embeddings():
 def test_edit_tolerance_merges_near_paths():
     m1 = _emb({("r", "contains"): 2})
     m2 = _emb({("r", "containsBy"): 3})
-    assert multiset_intersection_size(m1, m2) == 0
-    assert multiset_intersection_size(m1, m2, edit_tolerance=1) == 2
+    assert sim(m1, m2) == 0.0
+    assert sim(m1, m2, edit_tolerance=1) == 1.0
 
 
 def test_edit_tolerance_respects_budget():
     m1 = _emb({("a", "b", "c"): 1})
     m2 = _emb({("x", "y", "c"): 1})
-    assert multiset_intersection_size(m1, m2, edit_tolerance=1) == 0
-    assert multiset_intersection_size(m1, m2, edit_tolerance=2) == 1
+    assert sim(m1, m2, edit_tolerance=1) == 0.0
+    assert sim(m1, m2, edit_tolerance=2) == 1.0
 
 
 def test_hand_built_pair_similarity():

@@ -230,8 +230,9 @@ def test_read_gold_rejects_broken_lines(tmp_path):
     b'{"id": "r2", "relation": 7}',
     b'{"id": null, "relation": "a"}',
     b'{"id": 2, "relation": "a"}',
+    b'{"id": "r1", "relation": "b"}',
 ], ids=["not-utf8", "empty", "blank", "padded", "null-relation", "number-relation",
-        "null-id", "number-id"])
+        "null-id", "number-id", "repeated-id"])
 def test_read_gold_rejects_bad_relations_with_the_line(tmp_path, line):
     path = tmp_path / "gold.jsonl"
     path.write_bytes(b'{"id": "r1", "relation": "a"}\n' + line + b"\n")

@@ -45,13 +45,6 @@ def test_fixture_a_radius_one_vertices(fixture_a):
     assert p.vertices == frozenset(FIXTURE_A_BALL)
     assert p.edges == frozenset(fixture_a.all_tuples())
     assert p.center == FIXTURE_A_CENTER
-    assert not p.center_hypothetical
-
-
-def test_intersection_neighborhood_is_tighter(fixture_a):
-    p = extract_pattern(fixture_a, FIXTURE_A_CENTER, 1, neighborhood="intersection")
-    assert p.vertices == frozenset({"India", "Gorakhpur"})
-    assert p.edges == frozenset({FIXTURE_A_CENTER})
 
 
 def test_hypothetical_center_reaches_both_sides():
@@ -59,7 +52,6 @@ def test_hypothetical_center_reaches_both_sides():
     g.add_tuple(Tuple("a", "r", "b"))
     g.add_tuple(Tuple("c", "r", "d"))
     p = extract_pattern(g, Tuple("b", "x", "c"), 1)
-    assert p.center_hypothetical
     assert p.vertices == frozenset({"a", "b", "c", "d"})
     assert Tuple("b", "x", "c") in p.edges
 
@@ -103,7 +95,7 @@ def test_dump_pattern_header(fixture_a):
     assert "India\tcontains\tGorakhpur" in lines[1:]
 
 
-def _ball_oracle(g: GraphStore, center: Tuple, l: int, neighborhood: str) -> frozenset[str]:
+def _ball_oracle(g: GraphStore, center: Tuple, l: int) -> frozenset[str]:
     """Predicate form: distance computed in g plus the center edge."""
     added = g.add_tuple(center)
     try:
@@ -114,20 +106,17 @@ def _ball_oracle(g: GraphStore, center: Tuple, l: int, neighborhood: str) -> fro
     finally:
         if added:
             g.remove_tuple(center)
-    if neighborhood == "union":
-        return frozenset(from_head | from_tail)
-    return frozenset(from_head & from_tail)
+    return frozenset(from_head | from_tail)
 
 
 @PROPERTY_SETTINGS
-@given(seed=st.integers(0, 10_000), l=st.integers(1, 3),
-       neighborhood=st.sampled_from(["union", "intersection"]))
-def test_extract_pattern_matches_distance_predicate(seed, l, neighborhood):
+@given(seed=st.integers(0, 10_000), l=st.integers(1, 3))
+def test_extract_pattern_matches_distance_predicate(seed, l):
     rng = random.Random(seed)
     g = random_graph(rng, max_vertices=9, max_edges=16)
     center = random_center(rng, g)
-    p = extract_pattern(g, center, l, neighborhood=neighborhood)
-    assert p.vertices == _ball_oracle(g, center, l, neighborhood)
+    p = extract_pattern(g, center, l)
+    assert p.vertices == _ball_oracle(g, center, l)
     induced = {s for s in g.all_tuples()
                if s.head in p.vertices and s.tail in p.vertices}
     induced.add(center)

@@ -211,6 +211,8 @@ def test_invalid_everywhere_rejects_even_under_hold():
     record = rec("r1", "h", "t", ("w", 0.8), ("z", 0.6))
     decision = repair_tuple(g, record, rcfg(unknown_policy="hold"))
     assert decision.status == "Rejected"
+    # the same record as an instance member, its Top-1 tuple in the snapshot
+    assert repair_instance(g, [record], rcfg(unknown_policy="hold")) == [decision]
 
 
 def test_decision_json_keys():

@@ -90,6 +90,15 @@ def test_malformed_items_are_counted_and_skipped():
     assert results[0].malformed == 2
 
 
+@pytest.mark.parametrize("slice_size", [1, 10])
+def test_repeated_record_id_is_malformed(slice_size):
+    g = head_context_graph()
+    stream = [rec("x", "h0", "t1", ("r", 0.9)), rec("x", "h0", "t2", ("r", 0.9))]
+    log, results = run(g, stream, rcfg(unknown_policy="accept"), slice_size=slice_size)
+    assert [(d.id, d.tail) for d in log] == [("x", "t1")]
+    assert sum(r.malformed for r in results) == 1
+
+
 def test_held_record_accepted_once_context_arrives():
     g = tail_context_graph()
     stream = [

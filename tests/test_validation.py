@@ -1,4 +1,4 @@
-"""Tri-state classification, deterministic sampling, escalation, instances."""
+"""Tri-state classification, deterministic sampling, escalation, the witness cache."""
 
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from kgmend import (
     VALID,
     ValidationConfig,
     classify,
-    validate_instance,
 )
 from kgmend.embedding import MODES, traverse_r
-from kgmend.patterns import NEIGHBORHOODS, extract_pattern
+from kgmend.patterns import extract_pattern
 from kgmend.validation import sample_centers, witness_embedding
 
 from conftest import cache_registrations
@@ -41,7 +40,7 @@ def context_graph(occurrences: int = 3, label: str = "born_in") -> GraphStore:
 
 def test_config_rejects_bad_values():
     for kw in ({"l": 0}, {"theta": 1.0}, {"theta": -0.1}, {"delta": 0},
-               {"sample_size": 0}, {"mode": "shuffled"}, {"neighborhood": "both"}):
+               {"sample_size": 0}, {"mode": "shuffled"}):
         with pytest.raises(ValueError):
             ValidationConfig(**kw)
 
@@ -221,35 +220,6 @@ def test_na_candidate_rejected():
         classify(g, Tuple("a", "NA", "b"), cfg_l1())
 
 
-def test_validate_instance_legal_and_restores_graph():
-    g = context_graph(occurrences=3)
-    before = set(g.all_tuples())
-    instance = [
-        Tuple("n1", "born_in", "m1"),
-        Tuple("n1", "works_in", "q1"),
-    ]
-    reports, legal = validate_instance(g, instance, cfg_l1())
-    assert legal
-    assert [r.status for r in reports] == [VALID, VALID]
-    assert set(g.all_tuples()) == before
-
-
-def test_validate_instance_flags_invalid_member():
-    g = context_graph(occurrences=3)
-    g.add_tuple(Tuple("n1", "visited", "m1"))
-    instance = [Tuple("n1", "born_in", "m1")]
-    reports, legal = validate_instance(g, instance, cfg_l1())
-    assert not legal
-    assert reports[0].status == INVALID
-
-
-def test_validate_instance_rejects_duplicates():
-    g = context_graph()
-    s = Tuple("n1", "born_in", "m1")
-    with pytest.raises(ValueError):
-        validate_instance(g, [s, s], cfg_l1())
-
-
 # -- witness cache coherence ---------------------------------------------------
 
 _VERTEX = st.sampled_from([f"v{i}" for i in range(6)])
@@ -274,8 +244,8 @@ def _assert_cache_coherent(g: GraphStore) -> None:
     assert set(g._cached_under) == set(g.embedding_cache)
     expected = set()
     for key, cached in g.embedding_cache.items():
-        center, l, mode, neighborhood = key
-        pattern = extract_pattern(g, center, l, neighborhood)
+        center, l, mode = key
+        pattern = extract_pattern(g, center, l)
         assert cached == traverse_r(pattern, l, mode)
         assert sorted(g._cached_under[key]) == sorted(pattern.vertices)
         expected |= {(v, key) for v in pattern.vertices}
@@ -284,11 +254,10 @@ def _assert_cache_coherent(g: GraphStore) -> None:
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("neighborhood", NEIGHBORHOODS)
 @settings(max_examples=60, deadline=None)
 @given(initial=st.lists(_EDGE, max_size=12), ops=_OPS)
-def test_cached_witnesses_equal_fresh_builds_after_any_mutation(neighborhood, mode, initial, ops):
-    cfgs = [ValidationConfig(l=l, mode=mode, neighborhood=neighborhood) for l in (1, 2)]
+def test_cached_witnesses_equal_fresh_builds_after_any_mutation(mode, initial, ops):
+    cfgs = [ValidationConfig(l=l, mode=mode) for l in (1, 2)]
     g = GraphStore()
     for s in initial:
         g.add_tuple(s)
