@@ -125,10 +125,12 @@ def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_h
         raise _usage(exc) from exc
     if slice_size < 1 or workers < 1:
         raise click.UsageError("slice-size and workers must be at least 1")
+    if bool(aux_graph) != bool(label_map):
+        raise click.UsageError("--aux-graph and --label-map must be given together")
     g = _read(load_graph, graph)
     if aux_graph:
         try:
-            integrate_aux(g, aux_graph, load_label_map(label_map) if label_map else {})
+            integrate_aux(g, aux_graph, load_label_map(label_map))
         except _INPUT_ERRORS as exc:
             raise _usage(exc) from exc
     stream = iter_prediction_lines(predictions)

@@ -17,7 +17,6 @@ different modes never compare.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -44,10 +43,11 @@ class PathEmbedding:
 
 def _side_adjacency(p: LocalizedPattern) -> dict[str, list[tuple[str, str]]]:
     """Undirected adjacency over pattern edges, minus center-endpoint parallels."""
-    banned = frozenset((p.center.head, p.center.tail))
+    h, t = p.center.head, p.center.tail
+    banned = {(h, t), (t, h)}       # endpoint set {h, t}, or the loop at h when h == t
     adj: dict[str, list[tuple[str, str]]] = {v: [] for v in p.vertices}
-    for e in sorted(p.edges):
-        if frozenset((e.head, e.tail)) == banned:
+    for e in p.edges:
+        if (e.head, e.tail) in banned:
             continue
         adj[e.head].append((e.relation, e.tail))
         if e.tail != e.head:
@@ -69,28 +69,29 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
     adj = _side_adjacency(p)
 
     @lru_cache(maxsize=None)
-    def walks(v: str, steps: int) -> tuple[tuple[tuple[str, ...], int], ...]:
+    def walks(v: str, steps: int) -> dict:
         # label sequence -> number of distinct walks from v realizing it
         if steps == 0:
-            return (((), 1),)
-        acc: Counter = Counter()
+            return {(): 1}
+        acc: dict = {}
         for label, other in adj[v]:
-            for seq, n in walks(other, steps - 1):
-                acc[(label,) + seq] += n
-        return tuple(sorted(acc.items()))
+            for seq, n in walks(other, steps - 1).items():
+                key = (label,) + seq
+                acc[key] = acc.get(key, 0) + n
+        return acc
 
     center = p.center.relation
-    counts: Counter = Counter()
+    counts: dict = {}
     for a in range(l + 1):
-        for head_seq, hn in walks(p.center.head, a):
-            for tail_seq, tn in walks(p.center.tail, l - a):
+        for head_seq, hn in walks(p.center.head, a).items():
+            for tail_seq, tn in walks(p.center.tail, l - a).items():
                 if mode == "sorted":
                     key = tuple(sorted((center,) + head_seq + tail_seq))
                 else:
                     key = tuple(reversed(head_seq)) + (center,) + tail_seq
-                counts[key] += hn * tn
+                counts[key] = counts.get(key, 0) + hn * tn
     walks.cache_clear()
-    return PathEmbedding(center_label=center, radius=l, mode=mode, counts=dict(counts))
+    return PathEmbedding(center_label=center, radius=l, mode=mode, counts=counts)
 
 
 def _check_comparable(m1: PathEmbedding, m2: PathEmbedding) -> None:

@@ -1,12 +1,13 @@
 """Indexed directed multigraph of RDF tuples.
 
 The store keeps out/in adjacency and a relation-occurrence index, nothing
-else: degrees, vertices and the edge count are derived from them when asked
-for. Beside them sit two read caches: each label's sorted occurrences, and
-the path embeddings of stored witness patterns with, for every vertex, the
-cached patterns that hold it. Set semantics: the same tuple is never stored
-twice, but parallel edges with different labels between the same endpoints
-are fine.
+else, and all three hold the same stored Tuple objects: every query returns
+those objects and builds none. Degrees, vertices and the edge count are
+derived from the indexes when asked for. Beside them sit two read caches:
+each label's sorted occurrences, and the path embeddings of stored witness
+patterns with, for every vertex, the cached patterns that hold it. Set
+semantics: the same tuple is never stored twice, but parallel edges with
+different labels between the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
 """
@@ -37,6 +38,9 @@ class GraphFormatError(ValueError):
 class GraphStore:
     """Directed labeled multigraph with the indexes validation needs.
 
+    `_out[head]`, `_in[tail]` and `_by_relation[relation]` hold the Tuple
+    `add_tuple` stored, and every edge query yields that object as is.
+
     Single writer, many readers: mutation is only legal between read phases
     (the stream runner enforces the barrier). Reads never mutate state except
     the lazily rebuilt caches, which are deterministic.
@@ -50,8 +54,8 @@ class GraphStore:
     """
 
     def __init__(self) -> None:
-        self._out: dict[str, set[tuple[str, str]]] = {}   # head -> {(relation, tail)}
-        self._in: dict[str, set[tuple[str, str]]] = {}    # tail -> {(relation, head)}
+        self._out: dict[str, set[Tuple]] = {}     # head -> its out-edges
+        self._in: dict[str, set[Tuple]] = {}      # tail -> its in-edges
         self._by_relation: dict[str, set[Tuple]] = {}
         self.version = 0
         # relation -> occurrences sorted by (head, tail); rebuilt on demand
@@ -71,11 +75,12 @@ class GraphStore:
         """Insert s; return True if inserted, False if already present."""
         if s.relation == NA:
             raise NALabelError(f"refusing to store NA-labeled tuple {s.head} -> {s.tail}")
-        if s in self._by_relation.get(s.relation, ()):
+        bucket = self._by_relation.setdefault(s.relation, set())
+        if s in bucket:
             return False
-        self._out.setdefault(s.head, set()).add((s.relation, s.tail))
-        self._in.setdefault(s.tail, set()).add((s.relation, s.head))
-        self._by_relation.setdefault(s.relation, set()).add(s)
+        bucket.add(s)
+        self._out.setdefault(s.head, set()).add(s)
+        self._in.setdefault(s.tail, set()).add(s)
         self._touch(s)
         return True
 
@@ -83,11 +88,10 @@ class GraphStore:
         """Remove s; return True if it was present (absence is not an error)."""
         if s not in self._by_relation.get(s.relation, ()):
             return False
-        for index, key, entry in ((self._out, s.head, (s.relation, s.tail)),
-                                  (self._in, s.tail, (s.relation, s.head)),
-                                  (self._by_relation, s.relation, s)):
+        for index, key in ((self._out, s.head), (self._in, s.tail),
+                           (self._by_relation, s.relation)):
             bucket = index[key]
-            bucket.discard(entry)
+            bucket.discard(s)
             if not bucket:
                 del index[key]
         self._touch(s)
@@ -176,24 +180,22 @@ class GraphStore:
             yield from bucket
 
     def out_edges(self, v: str) -> Iterator[Tuple]:
-        for relation, tail in self._out.get(v, ()):
-            yield Tuple(v, relation, tail)
+        return iter(self._out.get(v, ()))
 
     def in_edges(self, v: str) -> Iterator[Tuple]:
-        for relation, head in self._in.get(v, ()):
-            yield Tuple(head, relation, v)
+        return iter(self._in.get(v, ()))
 
     def incident(self, v: str) -> Iterator[Tuple]:
-        yield from self.out_edges(v)
-        for s in self.in_edges(v):
-            if s.head != s.tail:        # self loops already came out of _out
+        yield from self._out.get(v, ())
+        for s in self._in.get(v, ()):
+            if s.head != v:             # self loops already came out of _out
                 yield s
 
     def edges_between(self, u: str, v: str) -> set[Tuple]:
         """Edges with endpoint set {u, v}, either orientation (and loops if u == v)."""
-        found = {Tuple(u, r, t) for r, t in self._out.get(u, ()) if t == v}
+        found = {s for s in self._out.get(u, ()) if s.tail == v}
         if u != v:
-            found |= {Tuple(v, r, t) for r, t in self._out.get(v, ()) if t == u}
+            found |= {s for s in self._out.get(v, ()) if s.tail == u}
         return found
 
     def has_vertex(self, v: str) -> bool:

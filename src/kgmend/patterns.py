@@ -2,9 +2,12 @@
 
 The pattern keeps every vertex within l undirected steps of the head OR of
 the tail, the only reading consistent with walk enumeration expanding
-independently from each endpoint. The center may be hypothetical (a
-candidate not yet in the graph): its edge is always part of the pattern, so
-a fresh entity pair still yields the minimal two-vertex pattern.
+independently from each endpoint, and every edge among those vertices. One
+BFS seeded at both endpoints finds both: it keeps every edge at each vertex
+it expands, and a pass over the rim adds the edges between two vertices at
+distance l. The center may be hypothetical (a candidate not yet in the
+graph): its edge is always part of the pattern, so a fresh entity pair still
+yields the minimal two-vertex pattern.
 """
 
 from __future__ import annotations
@@ -27,49 +30,34 @@ class LocalizedPattern:
         assert self.center in self.edges
 
 
-def _neighbors(g: GraphStore, v: str):
-    for s in g.out_edges(v):
-        yield s.tail
-    for s in g.in_edges(v):
-        yield s.head
-
-
-def _ball(g: GraphStore, center: Tuple, cap: int) -> set[str]:
-    """Vertices within cap undirected steps of either center endpoint.
-
-    One BFS over g seeded at both endpoints: the center edge would only join
-    two vertices already at distance 0, so it shortens no distance.
-    """
-    seen = dict.fromkeys((center.head, center.tail), 0)
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        d = seen[x]
-        if d == cap:
-            continue
-        for y in _neighbors(g, x):
-            if y not in seen:
-                seen[y] = d + 1
-                queue.append(y)
-    return set(seen)
-
-
 def extract_pattern(g: GraphStore, center: Tuple, l: int) -> LocalizedPattern:
     """Build the localized pattern of radius l around center, over g plus center."""
     if l < 1:
         raise ValueError("pattern radius must be >= 1")
     if center.relation == NA:
         raise ValueError("cannot build a pattern around an NA-labeled center")
-    vertices = _ball(g, center, l)
+    # the center edge joins two depth-0 vertices, so it shortens no distance
+    depth = dict.fromkeys((center.head, center.tail), 0)
     edges = {center}
-    for v in vertices:
-        for s in g.out_edges(v):
-            if s.tail in vertices:
+    queue = deque(depth)
+    while queue and depth[queue[0]] < l:
+        x = queue.popleft()
+        d = depth[x] + 1
+        for s in g.incident(x):
+            edges.add(s)
+            y = s.tail if s.head == x else s.head
+            if y not in depth:
+                depth[y] = d
+                queue.append(y)
+    # the queue now holds the depth-l rim: add the edges joining two rim vertices
+    for x in queue:
+        for s in g.out_edges(x):
+            if s.tail in depth:
                 edges.add(s)
     return LocalizedPattern(
         center=center,
         radius=l,
-        vertices=frozenset(vertices),
+        vertices=frozenset(depth),
         edges=frozenset(edges),
     )
 

@@ -57,6 +57,8 @@ class RepairConfig:
             raise ValueError("p_th must be in [0, 1]")
         if self.unknown_policy not in UNKNOWN_POLICIES:
             raise ValueError(f"unknown_policy must be one of {UNKNOWN_POLICIES}")
+        if self.max_hold_iterations < 0:
+            raise ValueError("max_hold_iterations must be >= 0")
 
 
 @dataclass

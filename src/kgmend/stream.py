@@ -51,7 +51,7 @@ class SliceResult:
 
 
 def load_label_map(path) -> dict[str, str]:
-    """TSV `aux_label<TAB>target_label`; mapping to NA is the same as absent."""
+    """TSV `aux_label<TAB>target_label`, one line per aux label; NA is absent."""
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -65,10 +65,10 @@ def load_label_map(path) -> dict[str, str]:
                 aux, target = identifier(parts[0]), identifier(parts[1])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: {exc}") from None
-            if target == NA:
-                continue
+            if aux in mapping:
+                raise GraphFormatError(f"line {lineno}: aux label {aux!r} is mapped twice")
             mapping[aux] = target
-    return mapping
+    return {aux: target for aux, target in mapping.items() if target != NA}
 
 
 def integrate_aux(g: GraphStore, aux_graph_path, label_map: dict[str, str]) -> GraphStore:

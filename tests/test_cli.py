@@ -106,11 +106,28 @@ def test_malformed_aux_graph_exits_two(runner, tmp_path):
     preds = predictions_file(tmp_path, [PredictionRecord("n1", "h", "t", (("r", 0.9),))])
     aux = tmp_path / "aux.tsv"
     aux.write_text("only-one-field\n")
+    label_map = tmp_path / "map.tsv"
+    label_map.write_text("x\tr\n")
     result = runner.invoke(main, [
         "enhance", "--graph", str(graph), "--predictions", str(preds), "--aux-graph", str(aux),
+        "--label-map", str(label_map),
     ])
     assert result.exit_code == 2
     assert "line 1" in result.stderr
+
+
+@pytest.mark.parametrize("given", ["--aux-graph", "--label-map"])
+def test_aux_graph_and_label_map_go_together(runner, tmp_path, given):
+    graph = support_graph_file(tmp_path)
+    preds = predictions_file(tmp_path, [PredictionRecord("n1", "h", "t", (("r", 0.9),))])
+    # valid as an aux graph, malformed as a label map: neither may be read alone
+    lone = tmp_path / "lone.tsv"
+    lone.write_text("A\tx\tB\n")
+    result = runner.invoke(main, [
+        "enhance", "--graph", str(graph), "--predictions", str(preds), given, str(lone),
+    ])
+    assert result.exit_code == 2
+    assert "must be given together" in result.stderr
 
 
 def test_bad_config_value_exits_two(runner, tmp_path):

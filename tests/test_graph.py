@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, load_graph, save_graph
 from kgmend.graph_store import parse_tuple_line
@@ -155,3 +159,59 @@ def test_save_load_roundtrip_is_canonical(tmp_path):
     save_graph(g, path)
     assert path.read_text() == "a\tr\tb\na\ts\tb\nz\tr\ty\n"
     assert set(load_graph(path).all_tuples()) == set(g.all_tuples())
+
+
+# -- the store against a plain set of Tuples ----------------------------------
+
+MODEL_VERTICES = ("a", "b", "c")
+MODEL_LABELS = ("r", "s")
+model_tuples = st.builds(Tuple, st.sampled_from(MODEL_VERTICES), st.sampled_from(MODEL_LABELS),
+                         st.sampled_from(MODEL_VERTICES))
+model_steps = st.one_of(
+    st.tuples(st.just("add"), model_tuples),
+    st.tuples(st.just("remove"), model_tuples),
+    st.tuples(st.just("overlay"), st.lists(model_tuples, max_size=4)),
+)
+
+
+def assert_store_matches(g: GraphStore, model: set) -> None:
+    stored = {s: s for s in g.all_tuples()}
+    assert set(stored) == model and len(g) == len(model)
+
+    def same(found, want):
+        found = list(found)
+        assert len(found) == len(set(found)) and set(found) == set(want)
+        assert all(s is stored[s] for s in found)      # the stored object, not a copy
+
+    for v in MODEL_VERTICES:
+        same(g.out_edges(v), {s for s in model if s.head == v})
+        same(g.in_edges(v), {s for s in model if s.tail == v})
+        same(g.incident(v), {s for s in model if v in (s.head, s.tail)})
+        assert g.degree(v) == sum((s.head == v) + (s.tail == v) for s in model)
+        assert g.has_vertex(v) == any(v in (s.head, s.tail) for s in model)
+    for u, v in itertools.product(MODEL_VERTICES, repeat=2):
+        same(g.edges_between(u, v), {s for s in model if {s.head, s.tail} == {u, v}})
+    assert g.relations() == sorted({s.relation for s in model})
+    for r in MODEL_LABELS:
+        same(g.tuples_with_relation(r), {s for s in model if s.relation == r})
+        assert g.tuples_with_relation(r) == sorted(s for s in model if s.relation == r)
+    for s in itertools.starmap(Tuple, itertools.product(MODEL_VERTICES, MODEL_LABELS,
+                                                        MODEL_VERTICES)):
+        assert (s in g) == (s in model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(model_steps, max_size=12))
+def test_store_indexes_match_a_set_of_tuples(steps):
+    g, model = GraphStore(), set()
+    for op, arg in steps:
+        if op == "add":
+            assert g.add_tuple(arg) == (arg not in model)
+            model.add(arg)
+        elif op == "remove":
+            assert g.remove_tuple(arg) == (arg in model)
+            model.discard(arg)
+        else:
+            with g.overlay(arg):
+                assert_store_matches(g, model | set(arg))
+        assert_store_matches(g, model)

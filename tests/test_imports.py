@@ -1,7 +1,8 @@
-"""No kgmend module imports another module's private (`_`-prefixed) names.
+"""No kgmend module imports another module's private (`_`-prefixed) names,
+nor reads a private attribute of any object but `self` or `cls`.
 
-A private name is free to change with its own module; a second module that
-imports it turns it into an interface nobody declared.
+A private name is free to change with its own module or class; code
+elsewhere that uses it turns it into an interface nobody declared.
 """
 
 from __future__ import annotations
@@ -29,3 +30,19 @@ def test_no_module_imports_a_private_name_from_another():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def _private_attribute_reads(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _private_attribute_reads(path)] == []

@@ -32,6 +32,15 @@ def rcfg(**kw) -> RepairConfig:
     return RepairConfig(**kw)
 
 
+@pytest.mark.parametrize("kw", [
+    {"k": 0}, {"p_th": -0.1}, {"p_th": 1.5}, {"unknown_policy": "maybe"},
+    {"max_hold_iterations": -1},
+])
+def test_repair_config_rejects_bad_values(kw):
+    with pytest.raises(ValueError):
+        RepairConfig(**kw)
+
+
 # -- record parsing -----------------------------------------------------------
 
 def test_parse_record_roundtrip():

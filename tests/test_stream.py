@@ -169,10 +169,15 @@ def test_load_label_map(tmp_path):
     assert mapping == {"x": "r", "qa": "q"}
 
 
-def test_load_label_map_rejects_bad_lines(tmp_path):
+@pytest.mark.parametrize("text, where", [
+    ("x\tr\ty\n", "line 1"),
+    ("q\tr\nq\ts\n", "line 2"),             # one aux label, two targets
+    ("q\tNA\n# note\nq\tr\n", "line 3"),
+], ids=["three-fields", "repeated", "repeated-after-na"])
+def test_load_label_map_rejects_bad_lines(tmp_path, text, where):
     path = tmp_path / "map.tsv"
-    path.write_text("x\tr\ty\n")
-    with pytest.raises(GraphFormatError, match="line 1"):
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=where):
         load_label_map(path)
 
 

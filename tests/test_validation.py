@@ -40,7 +40,8 @@ def context_graph(occurrences: int = 3, label: str = "born_in") -> GraphStore:
 
 def test_config_rejects_bad_values():
     for kw in ({"l": 0}, {"theta": 1.0}, {"theta": -0.1}, {"delta": 0},
-               {"sample_size": 0}, {"mode": "shuffled"}):
+               {"sample_size": 0}, {"mode": "shuffled"}, {"scan_cap": -1},
+               {"edit_tolerance": -1}):
         with pytest.raises(ValueError):
             ValidationConfig(**kw)
 
