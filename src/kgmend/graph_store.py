@@ -3,9 +3,10 @@
 The store keeps out/in adjacency and a relation-occurrence index, nothing
 else, and all three hold the same stored Tuple objects: every query returns
 those objects and builds none. Degrees, vertices and the edge count are
-derived from the indexes when asked for. Beside them sit two read caches:
-each label's sorted occurrences, and the path embeddings of stored witness
-patterns with, for every vertex, the cached patterns that hold it. Set
+derived from the indexes when asked for. Beside them sit three read caches:
+each label's sorted occurrences, the path embeddings of stored witness
+patterns with, for every vertex, the cached patterns that hold it, and each
+label's posting index over those embeddings (built by `validation`). Set
 semantics: the same tuple is never stored twice, but parallel edges with
 different labels between the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
@@ -51,6 +52,9 @@ class GraphStore:
     can change its ball or the edges among its vertices has an endpoint there.
     A mutation of (u, r, v) therefore evicts exactly the entries registered
     under u or v, through `cache_embedding`.
+
+    The postings share that invalidation: a mutation of (u, r, v) drops r's
+    postings with r's sorted occurrences, and any eviction drops them all.
     """
 
     def __init__(self) -> None:
@@ -62,6 +66,9 @@ class GraphStore:
         self._relation_order: dict[str, list[Tuple]] = {}
         # (center, l, mode) -> PathEmbedding of stored witnesses
         self.embedding_cache: dict = {}
+        # relation -> (l, mode) -> validation's posting index over the cached
+        # embeddings of that relation's sorted occurrences
+        self.postings: dict = {}
         # cache key -> its pattern's vertices, and vertex -> the cache key, or the
         # set of keys, whose pattern holds it. Most vertices lie in one cached
         # pattern, and a bare key spares them a set (216 bytes each).
@@ -99,6 +106,8 @@ class GraphStore:
 
     def _touch(self, s: Tuple) -> None:
         self._relation_order.pop(s.relation, None)
+        if self.postings:
+            self.postings.pop(s.relation, None)
         if self.embedding_cache:
             self._evict(s.head)
             self._evict(s.tail)
@@ -108,6 +117,7 @@ class GraphStore:
         held = self._cache_keys.pop(v, None)
         if held is None:
             return
+        self.postings.clear()       # they index embeddings by position, not by key
         for key in held if type(held) is set else (held,):
             del self.embedding_cache[key]
             for w in self._cached_under.pop(key):
@@ -144,9 +154,12 @@ class GraphStore:
 
         The caller must not mutate the store inside the block.
         """
-        inserted = [s for s in tuples if self.add_tuple(s)]
-        self.bump_version()
+        inserted = []
         try:
+            for s in tuples:
+                if self.add_tuple(s):
+                    inserted.append(s)
+            self.bump_version()
             yield self
         finally:
             for s in reversed(inserted):

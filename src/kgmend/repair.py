@@ -115,11 +115,14 @@ def parse_record(obj: dict) -> PredictionRecord:
     previous = None
     for entry in raw:
         try:
-            relation, p = entry["relation"], float(entry["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+            relation, p = entry["relation"], entry["p"]
+        except (KeyError, TypeError) as exc:
             raise PredictionFormatError(f"record {rid!r}: bad candidate {entry!r}") from exc
-        if not 0.0 <= p <= 1.0:
+        if type(p) is bool or not isinstance(p, (int, float)):
+            raise PredictionFormatError(f"record {rid!r}: probability {p!r} is not a number")
+        if not 0 <= p <= 1:
             raise PredictionFormatError(f"record {rid!r}: probability {p} outside [0, 1]")
+        p = float(p)
         if previous is not None and p > previous + 1e-12:
             raise PredictionFormatError(f"record {rid!r}: candidates not sorted by descending p")
         previous = p

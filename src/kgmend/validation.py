@@ -2,15 +2,19 @@
 
 A candidate is Valid when enough sampled same-label patterns look similar to
 its own localized pattern (the support set is the implicit constraint: no
-mined rules, just structural precedent). With no support, committed edges
-around the candidate's endpoints decide between Invalid and Unknown.
+mined rules, just structural precedent). A short sample escalates to a scan
+of further occurrences; at edit_tolerance 0 the scan reads a posting index
+(label, l, mode) -> sequence -> occurrence positions, kept on the GraphStore,
+since a witness must share a sequence with the candidate. With no support,
+committed edges around the candidate's endpoints decide between Invalid and
+Unknown.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
@@ -142,31 +146,88 @@ def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     return Evidence(candidate=cand, centers=centers, sims=sims)
 
 
+@dataclass
+class Postings:
+    """One label's posting index at one (l, mode): canonical sequence ->
+    ascending positions in `tuples_with_relation(label)` whose witness
+    embedding holds it, over positions below `size` less the ignored `holes`."""
+    lists: dict = field(default_factory=dict)
+    size: int = 0
+    holes: set = field(default_factory=set)
+
+
+def _scan_window(order: list, cap: int, ignore, skip: set) -> tuple[int, bool]:
+    """The scan reads order[:end], the first `cap` occurrences in neither
+    `ignore` nor `skip` (disjoint sets); also whether it holds any."""
+    if len(order) <= cap:        # the whole label fits: no window count
+        return len(order), any(c not in skip and c not in ignore for c in order)
+    end = skipped = 0
+    while end < min(len(order), cap + skipped):
+        chunk = order[end:cap + skipped]
+        skipped += len(ignore.intersection(chunk)) + len(skip.intersection(chunk))
+        end += len(chunk)
+    return end, end > skipped
+
+
+def _shared_positions(g: GraphStore, cfg: ValidationConfig, order: list, end: int,
+                      cand: PathEmbedding, ignore, skip: set) -> list[int]:
+    """Ascending positions below `end` whose witness embedding shares a
+    sequence with cand, from the label's posting index, built on demand."""
+    index = g.postings.setdefault(cand.center_label, {}).setdefault((cfg.l, cfg.mode), Postings())
+    lists = index.lists
+    if not ignore.issuperset(index.holes):     # an earlier caller ignored what this one reads
+        for center in sorted(index.holes):
+            p = bisect_left(order, center)
+            if p < end and center not in ignore and center not in skip:
+                index.holes.discard(center)
+                for seq in witness_embedding(g, center, cfg).counts:
+                    insort(lists.setdefault(seq, []), p)
+    for p in range(index.size, end):
+        center = order[p]
+        if center in ignore:
+            index.holes.add(center)
+            continue
+        for seq in witness_embedding(g, center, cfg).counts:
+            lists.setdefault(seq, []).append(p)
+    index.size = max(index.size, end)
+    hits = set()
+    for seq in cand.counts:
+        found = lists.get(seq)
+        if found:
+            hits.update(found[:bisect_left(found, end)])
+    return sorted(hits)
+
+
 def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Evidence,
                           ignore: frozenset = frozenset()) -> SupportReport:
     """Decide s from its evidence: the one place a label check is decided.
 
-    Witnesses are sampled centers with sim above theta; when fewer than delta,
-    a scan over the remaining occurrences looks for more. Short of delta, the
-    committed edges at s's endpoints decide between Invalid and Unknown; s
-    itself and the `ignore` tuples count for neither.
+    Witnesses are sampled centers with sim above theta. When fewer than
+    delta, a scan looks for more among the first scan_cap occurrences that
+    are not s, sampled or ignored, in sorted order. With edit_tolerance 0 a
+    witness shares a sequence with the candidate, so the scan reads only the
+    positions the posting index lists; otherwise it reads every position.
+    Short of delta, the committed edges at s's endpoints decide between
+    Invalid and Unknown; s itself and the `ignore` tuples count for neither.
     """
     witnesses = [ev.centers[i] for i, v in enumerate(ev.sims) if v > cfg.theta]
     count = len(witnesses)
     escalated = False
-    if count < cfg.delta:
-        sampled = {c for c, _ in ev.centers}
-        scanned = 0
-        for center in g.tuples_with_relation(s.relation):
-            if count >= cfg.delta or scanned >= cfg.scan_cap:
-                break
-            if center == s or center in sampled or center in ignore:
+    if count < cfg.delta and cfg.scan_cap:
+        order = g.tuples_with_relation(s.relation)
+        skip = {c for c, _ in [(s, False), *ev.centers] if c not in ignore}
+        end, escalated = _scan_window(order, cfg.scan_cap, ignore, skip)
+        positions = (range(end) if cfg.edit_tolerance      # edit-distance matches share no key
+                     else _shared_positions(g, cfg, order, end, ev.candidate, ignore, skip))
+        for p in positions:
+            center = order[p]
+            if center in skip or center in ignore:
                 continue
-            escalated = True
-            scanned += 1
             if sim(ev.candidate, witness_embedding(g, center, cfg), cfg.edit_tolerance) > cfg.theta:
                 witnesses.append((center, False))
                 count += 1
+                if count >= cfg.delta:
+                    break
     if count >= cfg.delta:
         status = VALID
     else:

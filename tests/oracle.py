@@ -2,8 +2,9 @@
 
 Everything here trades speed for literalness: walks are enumerated one edge
 at a time, support subgraphs by explicit subset enumeration plus backtracking
-monomorphism search, similarity by exhaustive matching search. Hard input
-caps keep runtimes sane; none of this is reachable from the CLI.
+monomorphism search, similarity by exhaustive matching search, the
+escalation scan by one pairwise `sim` per occurrence. Hard input caps keep
+runtimes sane; none of this is reachable from the CLI.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
+from kgmend.embedding import sim
 from kgmend.graph_store import GraphStore, Tuple
 from kgmend.patterns import LocalizedPattern, extract_pattern
+from kgmend.validation import INVALID, UNKNOWN, VALID, SupportReport, witness_embedding
 
 MAX_WALK_VERTICES = 12
 MAX_WALK_RADIUS = 3
@@ -258,3 +261,43 @@ def undirected_dist(g: GraphStore, u: str, v: str, cap: int) -> int | None:
                     return d + 1
                 queue.append(y)
     return None
+
+
+def pairwise_support_from_evidence(g: GraphStore, s: Tuple, cfg, ev,
+                                   ignore: frozenset = frozenset()):
+    """The label check with one pairwise `sim` per scanned occurrence.
+
+    The reference for `kgmend.validation.support_from_evidence`, whose scan
+    reads a posting index instead: this is the same decision with the scan
+    spelled out, one occurrence at a time in sorted order.
+    """
+    witnesses = [ev.centers[i] for i, v in enumerate(ev.sims) if v > cfg.theta]
+    count = len(witnesses)
+    escalated = False
+    if count < cfg.delta:
+        sampled = {c for c, _ in ev.centers}
+        scanned = 0
+        for center in g.tuples_with_relation(s.relation):
+            if count >= cfg.delta or scanned >= cfg.scan_cap:
+                break
+            if center == s or center in sampled or center in ignore:
+                continue
+            escalated = True
+            scanned += 1
+            if sim(ev.candidate, witness_embedding(g, center, cfg), cfg.edit_tolerance) > cfg.theta:
+                witnesses.append((center, False))
+                count += 1
+    if count >= cfg.delta:
+        status = VALID
+    else:
+        between = [e for e in g.edges_between(s.head, s.tail) if e != s and e not in ignore]
+        if any(e.relation != s.relation for e in between):
+            status = INVALID       # a differently labeled fact already links the endpoints
+        elif not between and any(e != s and e not in ignore
+                                 for v in (s.head, s.tail) for e in g.incident(v)):
+            status = INVALID       # the endpoints are known but nothing supports this link
+        else:
+            status = UNKNOWN
+    # the invalidity argument is only proven at l = 1
+    return SupportReport(tuple=s, support_count=count, status=status, witnesses=witnesses,
+                         escalated=escalated, heuristic=status == INVALID and cfg.l > 1)

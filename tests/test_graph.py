@@ -114,6 +114,16 @@ def test_overlay_restores_on_error():
     assert set(g.all_tuples()) == before
 
 
+
+def test_overlay_rolls_back_a_failed_insert():
+    g = small_graph()
+    before, v0 = set(g.all_tuples()), g.version
+    with pytest.raises(NALabelError):
+        with g.overlay([Tuple("c", "s", "a"), Tuple("c", "NA", "b")]):
+            pass
+    assert_store_matches(g, before)
+    assert g.version > v0
+
 def test_mutation_evicts_exactly_the_patterns_holding_an_endpoint():
     g = small_graph()
     g.cache_embedding("ab", "e1", frozenset({"a", "b"}))

@@ -59,6 +59,11 @@ def test_parse_record_rejects_bad_input():
         {**base, "candidates": [{"relation": "a", "p": -0.1}]},
         {**base, "candidates": [{"relation": "a", "p": 0.3}, {"relation": "b", "p": 0.6}]},
         {**base, "candidates": [{"relation": "a"}]},
+        {**base, "candidates": [{"relation": "a", "p": "0.5"}]},
+        {**base, "candidates": [{"relation": "a", "p": " 0.25 "}]},
+        {**base, "candidates": [{"relation": "a", "p": True}]},
+        {**base, "candidates": [{"relation": "a", "p": None}]},
+        {**base, "candidates": [{"relation": "a", "p": 10 ** 400}]},
     ]
     for obj in bad:
         with pytest.raises(PredictionFormatError):

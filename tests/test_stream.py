@@ -8,20 +8,26 @@ import logging
 import pytest
 
 from kgmend import (
+    BenchmarkSpec,
     GraphStore,
     NA,
     PredictionRecord,
     RepairConfig,
     Tuple,
     ValidationConfig,
+    benchmark_generate,
     classify,
     commit,
+    inject_errors,
     integrate_aux,
     load_label_map,
     run,
 )
+from kgmend import repair
 from kgmend.graph_store import GraphFormatError
 from kgmend.repair import PredictionFormatError, RepairDecision
+
+from oracle import pairwise_support_from_evidence
 
 VCFG = ValidationConfig(l=1, sample_size=4)
 
@@ -218,3 +224,23 @@ def test_run_is_deterministic():
     log2, _ = run(g2, r2, rcfg(), slice_size=2)
     assert [d.to_json() for d in log1] == [d.to_json() for d in log2]
     assert sorted(g1.all_tuples()) == sorted(g2.all_tuples())
+
+
+def test_indexed_scan_matches_pairwise_on_a_seeded_stream(monkeypatch):
+    # the label checks of a benchmark-shaped stream, each held to the pairwise scan
+    g, records, _ = benchmark_generate(
+        BenchmarkSpec(records=1000, labels=10, occurrences_per_label=10, seed=0))
+    seen = {"escalated": 0, "scan_hits": 0}
+    indexed = repair.support_from_evidence
+
+    def compared(g, s, cfg, ev, ignore=frozenset()):
+        report = indexed(g, s, cfg, ev, ignore)
+        assert report == pairwise_support_from_evidence(g, s, cfg, ev, ignore)
+        seen["escalated"] += report.escalated
+        seen["scan_hits"] += len(report.witnesses) - sum(v > cfg.theta for v in ev.sims)
+        return report
+
+    monkeypatch.setattr(repair, "support_from_evidence", compared)
+    log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), RepairConfig(), slice_size=500)
+    assert len(log) == len(records)
+    assert seen["escalated"] and seen["scan_hits"]      # neither side may pass vacuously

@@ -17,11 +17,19 @@ from kgmend import (
     ValidationConfig,
     classify,
 )
-from kgmend.embedding import MODES, traverse_r
+from kgmend.embedding import MODES, sim, traverse_r
 from kgmend.patterns import extract_pattern
-from kgmend.validation import sample_centers, witness_embedding
+from kgmend.validation import (
+    Evidence,
+    candidate_embedding,
+    gather_evidence,
+    sample_centers,
+    support_from_evidence,
+    witness_embedding,
+)
 
 from conftest import cache_registrations
+from oracle import pairwise_support_from_evidence
 
 
 def cfg_l1(**kw) -> ValidationConfig:
@@ -140,9 +148,9 @@ def test_escalation_finds_witness_outside_sample():
     twins = [c for c, _ in report.witnesses]
     assert twins == [Tuple("twin", "born_in", "tc")]
     no_scan = classify(g, s, replace(cfg, scan_cap=0))
-    if no_scan.support_count == 0:
-        assert not no_scan.escalated
-        assert report.escalated
+    assert no_scan.support_count == 0      # the sample of 2 misses the twin
+    assert not no_scan.escalated
+    assert report.escalated
 
 
 def test_scan_cap_limits_escalation():
@@ -158,9 +166,67 @@ def test_scan_cap_limits_escalation():
     capped = ValidationConfig(l=1, sample_size=2, seed=3, scan_cap=5)
     report = classify(g, s, capped)
     sampled = {c for c, _ in sample_centers(g, "born_in", capped, exclude=s)}
-    if Tuple("zz_twin", "born_in", "tc") not in sampled:
-        assert report.support_count == 0
-        assert report.escalated
+    assert Tuple("zz_twin", "born_in", "tc") not in sampled
+    assert report.support_count == 0
+    assert report.escalated
+
+
+def window_graph(decoys: int) -> GraphStore:
+    """born_in occurrences in sorted order: the candidate and an ignorable
+    twin, two decoys to sample, `decoys` more decoys, and a twin."""
+    g = GraphStore()
+    for head in ("a_self", "b_ignored", "z_twin"):
+        g.add_tuple(Tuple(head, "born_in", f"{head}_c"))
+        g.add_tuple(Tuple(head, "works_in", f"{head}_w"))
+    for head in ["c_sampled0", "c_sampled1"] + [f"d{i:02d}" for i in range(decoys)]:
+        g.add_tuple(Tuple(head, "born_in", f"{head}_c"))
+        g.add_tuple(Tuple(head, "unrelated", f"{head}_u"))
+    return g
+
+
+@pytest.mark.parametrize("ignore_self", [False, True])
+@pytest.mark.parametrize("decoys, found", [(4, True), (5, False)])
+def test_scan_window_counts_only_eligible_occurrences(decoys, found, ignore_self):
+    # s, the ignored twin and the two sampled decoys sort before the twin and
+    # use up none of the 5 scanned places, even when s is ignored as well: the
+    # twin is the 5th eligible occurrence behind 4 decoys, and the 6th behind 5
+    g = window_graph(decoys)
+    cfg = ValidationConfig(l=1, scan_cap=5)
+    s, twin = Tuple("a_self", "born_in", "a_self_c"), Tuple("z_twin", "born_in", "z_twin_c")
+    ignore = frozenset([Tuple("b_ignored", "born_in", "b_ignored_c")] + [s] * ignore_self)
+    cand = candidate_embedding(g, s, cfg)
+    centers = [(Tuple(f"c_sampled{i}", "born_in", f"c_sampled{i}_c"), False) for i in range(2)]
+    ev = Evidence(candidate=cand, centers=centers,
+                  sims=[sim(cand, witness_embedding(g, c, cfg)) for c, _ in centers])
+    report = support_from_evidence(g, s, cfg, ev, ignore)
+    assert report == pairwise_support_from_evidence(g, s, cfg, ev, ignore)
+    assert report.escalated
+    assert report.witnesses == ([(twin, False)] if found else [])
+
+
+def test_postings_fill_holes_and_follow_mutations():
+    g = window_graph(1)     # born_in: a_self, b_ignored, c_sampled0, c_sampled1, d00, z_twin
+    g.add_tuple(Tuple("p9", "works_in", "p9_w"))
+    s = Tuple("p9", "born_in", "p9_c")
+    cfg = ValidationConfig(l=1, delta=3)
+    ev = Evidence(candidate=candidate_embedding(g, s, cfg), centers=[], sims=[])
+    twins = [Tuple(head, "born_in", f"{head}_c") for head in ("a_self", "b_ignored", "z_twin")]
+
+    def witnesses(ignore=frozenset(), **changes) -> list:
+        checked = replace(cfg, **changes)
+        report = support_from_evidence(g, s, checked, ev, ignore)
+        assert report == pairwise_support_from_evidence(g, s, checked, ev, ignore)
+        _assert_cache_coherent(g)
+        return [c for c, _ in report.witnesses]
+
+    assert witnesses(frozenset(twins[:2])) == twins[2:]    # two holes in the postings
+    assert witnesses() == twins                            # a later caller fills them
+    early = Tuple("a0", "born_in", "a0_c")
+    g.add_tuple(Tuple("a0", "works_in", "a0_w"))           # far from every cached pattern,
+    g.add_tuple(early)                                     # but it shifts every position
+    assert witnesses() == [early] + twins[:2]
+    assert witnesses(delta=4, scan_cap=6) == [early] + twins[:2]    # z_twin is 7th of 7
+    assert witnesses(delta=4, scan_cap=7) == [early] + twins
 
 
 def test_classify_invalid_when_other_label_links_endpoints():
@@ -252,6 +318,18 @@ def _assert_cache_coherent(g: GraphStore) -> None:
         expected |= {(v, key) for v in pattern.vertices}
     assert cache_registrations(g) == expected
     assert all(g._cache_keys.values())
+    for label, by_cfg in g.postings.items():
+        order = g.tuples_with_relation(label)
+        position = {c: p for p, c in enumerate(order)}
+        for (l, mode), index in by_cfg.items():
+            assert index.size <= len(order)
+            assert all(position.get(c, index.size) < index.size for c in index.holes)
+            fresh: dict = {}
+            for p in range(index.size):
+                if order[p] not in index.holes:
+                    for seq in g.embedding_cache[(order[p], l, mode)].counts:
+                        fresh.setdefault(seq, []).append(p)
+            assert index.lists == fresh
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -277,4 +355,68 @@ def test_cached_witnesses_equal_fresh_builds_after_any_mutation(mode, initial, o
                 _assert_cache_coherent(g)
                 _read_witnesses(g, cfgs)
                 _assert_cache_coherent(g)
+        _assert_cache_coherent(g)
+
+
+# -- the indexed scan against the pairwise scan --------------------------------
+
+# more vertices than the cache test, so that an added edge can miss every cached pattern
+_SCAN_EDGE = st.builds(Tuple, st.sampled_from([f"v{i}" for i in range(10)]),
+                       st.sampled_from(("r", "s")), st.sampled_from([f"v{i}" for i in range(10)]))
+_CHECK = st.tuples(
+    st.one_of(_SCAN_EDGE, st.integers(0, 40)),     # any candidate, or a stored one by index
+    st.builds(ValidationConfig, l=st.integers(1, 2), theta=st.sampled_from((0.0, 0.2, 0.5)),
+              delta=st.integers(1, 3), sample_size=st.integers(1, 3),
+              scan_cap=st.sampled_from((0, 1, 2, 5, 200)), edit_tolerance=st.sampled_from((0, 1)),
+              mode=st.sampled_from(MODES), seed=st.integers(0, 3)),
+    st.lists(st.integers(0, 40), max_size=4),      # ignored stored tuples, by index
+    st.booleans(),                                 # ignore the candidate too, as repair_tuple does
+)
+_CHECKS = st.lists(_CHECK, min_size=1, max_size=4)  # several callers share one snapshot's postings
+_SCAN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _SCAN_EDGE),
+    st.tuples(st.just("remove"), st.integers(0, 40)),
+    st.tuples(st.just("check"), _CHECKS),
+    st.tuples(st.just("overlay"), st.tuples(st.lists(_SCAN_EDGE, max_size=3), _CHECKS)),
+), max_size=16)
+
+
+def _check_against_pairwise(g: GraphStore, check, provisional: frozenset = frozenset()) -> None:
+    s, cfg, picks, ignore_s = check
+    stored = sorted(g.all_tuples())
+    if isinstance(s, int):
+        if not stored:
+            return
+        s = stored[s % len(stored)]
+    ignore = provisional | {stored[i % len(stored)] for i in picks if stored}
+    if ignore_s:
+        ignore |= {s}
+    ev = gather_evidence(g, s, cfg, ignore)
+    assert support_from_evidence(g, s, cfg, ev, ignore) == \
+        pairwise_support_from_evidence(g, s, cfg, ev, ignore)
+
+
+@settings(max_examples=150, deadline=None)
+@given(initial=st.lists(_SCAN_EDGE, max_size=20), ops=_SCAN_OPS)
+def test_indexed_scan_equals_the_pairwise_scan(initial, ops):
+    g = GraphStore()
+    for s in initial:
+        g.add_tuple(s)
+    for op, arg in ops:
+        if op == "add":
+            g.add_tuple(arg)
+        elif op == "remove":
+            stored = sorted(g.all_tuples())
+            if stored:
+                g.remove_tuple(stored[arg % len(stored)])
+        elif op == "check":
+            for check in arg:
+                _check_against_pairwise(g, check)
+                _assert_cache_coherent(g)
+        else:
+            edges, checks = arg
+            with g.overlay(edges):
+                for check in checks:
+                    _check_against_pairwise(g, check, frozenset(edges))
+                    _assert_cache_coherent(g)
         _assert_cache_coherent(g)
