@@ -36,6 +36,6 @@ for label, p in record.candidates:
     report = classify(g, Tuple("alice", label, "acme"), cfg)
     print(f"{label:10s} p={p:.2f} -> {report.status} (support {report.support_count})")
 
-# the repair loop spends at most k+1 such checks and rewrites the label
+# the repair loop spends at most k such checks and rewrites the label
 decision = repair_tuple(g, record, RepairConfig(validation=cfg))
 print(decision.to_json())

@@ -7,7 +7,7 @@ import json
 
 import click
 
-from .embedding import format_embedding, traverse_r
+from .embedding import format_embedding
 from .evalkit import detect_errors, inject_errors, read_labeled_facts
 from .graph_store import (
     GraphFormatError,
@@ -18,9 +18,9 @@ from .graph_store import (
     read_tuples,
     save_graph,
 )
-from .patterns import extract_pattern
 from .repair import (
     PredictionFormatError,
+    UNKNOWN_POLICIES,
     RepairConfig,
     iter_prediction_lines,
     predict_link,
@@ -30,7 +30,7 @@ from .repair import (
 )
 from .stream import integrate_aux, load_label_map
 from .stream import run as run_stream
-from .validation import ValidationConfig, classify
+from .validation import ValidationConfig, candidate_embedding, classify
 
 _INPUT_ERRORS = (GraphFormatError, NALabelError, PredictionFormatError)
 
@@ -42,42 +42,51 @@ def _usage(exc: Exception) -> click.UsageError:
     return click.UsageError(str(exc))
 
 
-def _mode(sort_paths: str) -> str:
-    return "sorted" if sort_paths == "on" else "positional"
+_VCFG = ValidationConfig()
+_RCFG = RepairConfig()
+
+# every validation flag, each declared once; a command names the ones it reads
+_VALIDATION_FLAGS = {
+    "l": click.option("--l", "l", type=int, default=_VCFG.l, show_default=True,
+                      help="Pattern radius."),
+    "sample_size": click.option("--sample-size", type=int, default=_VCFG.sample_size,
+                                show_default=True, help="Occurrences sampled per relation label."),
+    "theta": click.option("--theta", type=float, default=_VCFG.theta, show_default=True,
+                          help="Similarity threshold a witness must exceed."),
+    "delta": click.option("--delta", type=int, default=_VCFG.delta, show_default=True,
+                          help="Witness count required for Valid."),
+    "seed": click.option("--seed", type=int, default=_VCFG.seed, show_default=True,
+                         help="Sampling seed."),
+    "edit_tolerance": click.option("--edit-tolerance", type=int, default=_VCFG.edit_tolerance,
+                                   show_default=True,
+                                   help="Label-token edits allowed when matching paths."),
+    "sort_paths": click.option("--sort-paths", type=click.Choice(["on", "off"]),
+                               default="on" if _VCFG.mode == "sorted" else "off",
+                               show_default=True, help="Order-insensitive path canonicalization."),
+}
 
 
-def validation_options(fn):
-    """Add the shared validation flags; the command receives them as one `vcfg`."""
-    @functools.wraps(fn)
-    def command(l, sample_size, theta, delta, seed, edit_tolerance, sort_paths, **kwargs):
-        try:
-            vcfg = ValidationConfig(
-                l=l, theta=theta, delta=delta, sample_size=sample_size, seed=seed,
-                edit_tolerance=edit_tolerance, mode=_mode(sort_paths),
-            )
-        except ValueError as exc:
-            raise _usage(exc) from exc
-        return fn(vcfg=vcfg, **kwargs)
+def validation_options(*flags):
+    """Add the named validation flags, all of them when none is named; the
+    command receives them as one `vcfg`, with its other fields at their defaults."""
+    flags = flags or tuple(_VALIDATION_FLAGS)
 
-    opts = [
-        click.option("--l", "l", type=int, default=2, show_default=True,
-                     help="Pattern radius."),
-        click.option("--sample-size", type=int, default=10, show_default=True,
-                     help="Occurrences sampled per relation label."),
-        click.option("--theta", type=float, default=0.0, show_default=True,
-                     help="Similarity threshold a witness must exceed."),
-        click.option("--delta", type=int, default=1, show_default=True,
-                     help="Witness count required for Valid."),
-        click.option("--seed", type=int, default=0, show_default=True,
-                     help="Sampling seed."),
-        click.option("--edit-tolerance", type=int, default=0, show_default=True,
-                     help="Label-token edits allowed when matching paths."),
-        click.option("--sort-paths", type=click.Choice(["on", "off"]), default="on",
-                     show_default=True, help="Order-insensitive path canonicalization."),
-    ]
-    for opt in reversed(opts):
-        command = opt(command)
-    return command
+    def decorate(fn):
+        @functools.wraps(fn)
+        def command(**kwargs):
+            fields = {name: kwargs.pop(name) for name in flags}
+            if "sort_paths" in fields:
+                fields["mode"] = "sorted" if fields.pop("sort_paths") == "on" else "positional"
+            try:
+                vcfg = ValidationConfig(**fields)
+            except ValueError as exc:
+                raise _usage(exc) from exc
+            return fn(vcfg=vcfg, **kwargs)
+
+        for name in reversed(flags):
+            command = _VALIDATION_FLAGS[name](command)
+        return command
+    return decorate
 
 
 def _read(reader, path):
@@ -98,15 +107,15 @@ def main() -> None:
 @click.option("--graph", required=True, type=_FILE_IN, help="Committed graph TSV.")
 @click.option("--predictions", required=True, type=_FILE_IN,
               help="Candidate tuples, JSON lines.")
-@validation_options
-@click.option("--k", type=int, default=5, show_default=True,
+@validation_options()
+@click.option("--k", type=int, default=_RCFG.k, show_default=True,
               help="Repair candidates considered per record.")
-@click.option("--p-th", type=float, default=0.0, show_default=True,
+@click.option("--p-th", type=float, default=_RCFG.p_th, show_default=True,
               help="Probability floor for the initial instance.")
 @click.option("--slice-size", type=int, default=1000, show_default=True)
-@click.option("--unknown-policy", type=click.Choice(["accept", "hold", "reject"]),
-              default="hold", show_default=True)
-@click.option("--max-hold", type=int, default=3, show_default=True,
+@click.option("--unknown-policy", type=click.Choice(UNKNOWN_POLICIES),
+              default=_RCFG.unknown_policy, show_default=True)
+@click.option("--max-hold", type=int, default=_RCFG.max_hold_iterations, show_default=True,
               help="Retries before a held record is closed out.")
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Accepted for compatibility; has no effect, records are repaired serially.")
@@ -157,7 +166,7 @@ def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_h
 @click.option("--graph", required=True, type=_FILE_IN)
 @click.option("--tuples", "tuples_path", required=True, type=_FILE_IN,
               help="Candidate tuples TSV.")
-@validation_options
+@validation_options()
 def validate(graph, tuples_path, vcfg):
     """Classify each tuple as Valid, Invalid or Unknown."""
     g = _read(load_graph, graph)
@@ -175,10 +184,8 @@ def validate(graph, tuples_path, vcfg):
 @click.option("--head", required=True)
 @click.option("--relation", required=True)
 @click.option("--tail", required=True)
-@click.option("--l", "l", type=int, default=2, show_default=True)
-@click.option("--sort-paths", type=click.Choice(["on", "off"]), default="on",
-              show_default=True)
-def embed(graph, head, relation, tail, l, sort_paths):
+@validation_options("l", "sort_paths")
+def embed(graph, head, relation, tail, vcfg):
     """Print the path embedding of one center tuple, one path per line."""
     try:
         center = Tuple(identifier(head), identifier(relation), identifier(tail))
@@ -186,9 +193,8 @@ def embed(graph, head, relation, tail, l, sort_paths):
         raise _usage(exc) from exc
     g = _read(load_graph, graph)
     try:
-        pattern = extract_pattern(g, center, l)
-        emb = traverse_r(pattern, l, mode=_mode(sort_paths))
-    except (ValueError, NALabelError) as exc:
+        emb = candidate_embedding(g, center, vcfg)
+    except ValueError as exc:
         raise _usage(exc) from exc
     click.echo(format_embedding(emb), nl=False)
 
@@ -196,7 +202,7 @@ def embed(graph, head, relation, tail, l, sort_paths):
 @main.command("predict-links")
 @click.option("--graph", required=True, type=_FILE_IN)
 @click.option("--tuples", "tuples_path", required=True, type=_FILE_IN)
-@validation_options
+@validation_options("l", "sample_size", "seed", "edit_tolerance", "sort_paths")
 def predict_links(graph, tuples_path, vcfg):
     """Print linkage probabilities for candidate tuples."""
     g = _read(load_graph, graph)
@@ -217,7 +223,7 @@ def inject_errors_cmd(predictions, rate, seed, out):
     try:
         records = read_predictions(predictions)
         perturbed = inject_errors(records, rate, seed)
-    except (PredictionFormatError, ValueError) as exc:
+    except ValueError as exc:
         raise _usage(exc) from exc
     if out:
         write_predictions(perturbed, out)
@@ -230,7 +236,7 @@ def inject_errors_cmd(predictions, rate, seed, out):
 @click.option("--graph", required=True, type=_FILE_IN)
 @click.option("--facts", required=True, type=_FILE_IN,
               help="TSV head<TAB>relation<TAB>tail<TAB>1|0.")
-@validation_options
+@validation_options()
 @click.option("--unknown-true", is_flag=True,
               help="Count Unknown facts as predicted true.")
 def detect_errors_cmd(graph, facts, vcfg, unknown_true):
@@ -239,7 +245,7 @@ def detect_errors_cmd(graph, facts, vcfg, unknown_true):
     try:
         labeled = read_labeled_facts(facts)
         report = detect_errors(g, labeled, vcfg, unknown_is_true=unknown_true)
-    except (*_INPUT_ERRORS, ValueError) as exc:
+    except ValueError as exc:
         raise _usage(exc) from exc
     click.echo(report.to_json())
 

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, parse_tuple_line
+from .graph_store import GraphFormatError, GraphStore, NA, Tuple, open_input, parse_tuple_line
 from .repair import PredictionRecord, RepairDecision
 from .validation import UNKNOWN, VALID, ValidationConfig, classify
 
@@ -227,39 +227,10 @@ def benchmark_facts(
 
 # -- file formats --------------------------------------------------------------
 
-def read_gold(path) -> list[GoldLabel]:
-    """Gold labels, JSON lines `{"id": ..., "relation": ...}`; ids are unique."""
-    gold = []
-    ids = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                if not line.isascii():
-                    line.encode("utf-8")    # a byte that did not decode fails here
-                obj = json.loads(line)
-                rid, relation = obj["id"], obj["relation"]
-                # the rule prediction records follow: strings, the relation as given
-                if not (isinstance(rid, str) and isinstance(relation, str)
-                        and identifier(relation) == relation):
-                    raise ValueError(f"bad id {rid!r} or relation {relation!r}")
-                if rid in ids:
-                    raise ValueError(f"duplicate id {rid!r}")
-                ids.add(rid)
-                gold.append(GoldLabel(id=rid, relation=relation))
-            except UnicodeEncodeError:
-                raise GraphFormatError(f"line {lineno}: not UTF-8") from None
-            except (ValueError, KeyError, TypeError) as exc:
-                raise GraphFormatError(f"line {lineno}: bad gold entry: {exc}") from exc
-    return gold
-
-
 def read_labeled_facts(path) -> list[tuple[Tuple, bool]]:
     """TSV `head<TAB>relation<TAB>tail<TAB>flag` with flag 1 (true) or 0 (false)."""
     facts = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

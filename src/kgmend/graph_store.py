@@ -195,9 +195,6 @@ class GraphStore:
     def out_edges(self, v: str) -> Iterator[Tuple]:
         return iter(self._out.get(v, ()))
 
-    def in_edges(self, v: str) -> Iterator[Tuple]:
-        return iter(self._in.get(v, ()))
-
     def incident(self, v: str) -> Iterator[Tuple]:
         yield from self._out.get(v, ())
         for s in self._in.get(v, ()):
@@ -210,9 +207,6 @@ class GraphStore:
         if u != v:
             found |= {s for s in self._out.get(v, ()) if s.tail == u}
         return found
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._out or v in self._in
 
     def vertices(self) -> Iterator[str]:
         """Heads in insertion order, then tails that are never heads."""
@@ -267,9 +261,16 @@ def parse_tuple_line(line: str, lineno: int) -> Tuple:
     return Tuple(head, relation, tail)
 
 
+def open_input(path):
+    """Open an input file for reading: UTF-8, a leading byte-order mark
+    skipped, and a byte that does not decode kept as a lone surrogate for
+    `identifier` to reject."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
 def read_tuples(path) -> list[Tuple]:
     out = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graph_store import GraphStore, NA, Tuple, identifier
+from .graph_store import GraphStore, NA, Tuple, identifier, open_input
 from .validation import UNKNOWN, VALID, ValidationConfig, gather_evidence, support_from_evidence
 
 ACCEPTED = "Accepted"
@@ -248,7 +248,7 @@ def iter_prediction_lines(path):
     A record whose id repeats an earlier record's id fails.
     """
     seen = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -15,7 +15,7 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, read_tuples
+from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, open_input, read_tuples
 from .repair import (
     ACCEPTED,
     HELD,
@@ -53,7 +53,7 @@ class SliceResult:
 def load_label_map(path) -> dict[str, str]:
     """TSV `aux_label<TAB>target_label`, one line per aux label; NA is absent."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

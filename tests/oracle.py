@@ -242,7 +242,7 @@ def undirected_dist(g: GraphStore, u: str, v: str, cap: int) -> int | None:
     """Shortest edge-count path ignoring direction, None when > cap or unreachable."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if not g.has_vertex(u) or not g.has_vertex(v):
+    if not g.degree(u) or not g.degree(v):
         return 0 if u == v else None
     if u == v:
         return 0

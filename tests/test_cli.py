@@ -61,6 +61,15 @@ def test_embed_rejects_a_bad_identifier_as_usage_error(runner, option):
     assert "empty" in result.stderr
 
 
+def test_embed_rejects_a_radius_below_one(runner):
+    result = runner.invoke(main, [
+        "embed", "--graph", str(DATA / "fixture_b.tsv"),
+        "--head", "India", "--relation", "C", "--tail", "Gorakhpur", "--l", "0",
+    ])
+    assert result.exit_code == 2
+    assert "l must be >= 1" in result.stderr
+
+
 def test_validate_emits_one_json_line_per_tuple(runner, tmp_path):
     graph = support_graph_file(tmp_path)
     tuples = tmp_path / "cand.tsv"
@@ -148,7 +157,7 @@ COMMAND_OPTIONS = {
         "workers", "aux_graph", "label_map", "out_decisions", "out_graph", "metrics"},
     "validate": _VALIDATION | {"graph", "tuples_path"},
     "embed": {"graph", "head", "relation", "tail", "l", "sort_paths"},
-    "predict-links": _VALIDATION | {"graph", "tuples_path"},
+    "predict-links": _VALIDATION - {"theta", "delta"} | {"graph", "tuples_path"},
     "inject-errors": {"predictions", "rate", "seed", "out"},
     "detect-errors": _VALIDATION | {"graph", "facts", "unknown_true"},
     "stats": {"graph"},

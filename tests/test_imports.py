@@ -10,6 +10,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import kgmend
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgmend"
 
 
@@ -46,3 +48,43 @@ def test_no_module_reads_another_objects_private_attribute():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _private_attribute_reads(path)] == []
+
+
+def _is_click_command(node) -> bool:
+    # `@main.command(...)` or `@click.group()`
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _unreached_definitions() -> list[str]:
+    """Functions, classes and methods of the package that nothing else in it
+    names, that are not click commands or dunders, and that `__all__` omits."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    references = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+                  for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for tree in trees:
+        scopes = [(tree, "")]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    scopes.append((node, prefix))
+                    continue
+                scopes.append((node, f"{prefix}{node.name}."))
+                name = node.name
+                if (name.startswith("__") and name.endswith("__")) or _is_click_command(node) \
+                        or (not prefix and name in kgmend.__all__):
+                    continue
+                inside = {id(n) for n in ast.walk(node)}
+                if not any(ref == name and id(n) not in inside for n, ref in references):
+                    found.append(prefix + name)
+    return sorted(found)
+
+
+def test_every_definition_is_reached_from_the_package():
+    """Code that only tests call does not ship: each function, class and
+    method is named somewhere else in the package, exported, a click command
+    or a dunder."""
+    assert _unreached_definitions() == []

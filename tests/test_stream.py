@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -244,3 +246,28 @@ def test_indexed_scan_matches_pairwise_on_a_seeded_stream(monkeypatch):
     log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), RepairConfig(), slice_size=500)
     assert len(log) == len(records)
     assert seen["escalated"] and seen["scan_hits"]      # neither side may pass vacuously
+
+
+def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter]:
+    g, records, _ = benchmark_generate(BenchmarkSpec(
+        records=1000, labels=10, occurrences_per_label=10, density=0.8, seed=0))
+    log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), cfg, slice_size=250)
+    digest = hashlib.sha256()
+    for dec in log:
+        digest.update((dec.to_json() + "\n").encode())
+    for s in sorted(g.all_tuples()):
+        digest.update(f"{s.head}\t{s.relation}\t{s.tail}\n".encode())
+    return digest.hexdigest(), Counter(dec.status + " terminal" * dec.terminal for dec in log)
+
+
+def test_seeded_stream_decisions_match_the_pinned_digest():
+    # every decision and the enhanced graph, pinned: a change that moves one
+    # decision must say so by updating these digests
+    runs = [_stream_digest(RepairConfig(validation=vcfg)) for vcfg in (
+        ValidationConfig(), ValidationConfig(l=1, mode="positional", delta=2, sample_size=3))]
+    assert runs == [
+        ("285d83127444e0a46aa88ef61668af985292e0fac71b6fa56a924522bef51916",
+         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}),
+        ("60b6859cd308c64a19e8270f8996c351750b2267353019cc0fa6f8234ad14937",
+         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}),
+    ]
