@@ -57,9 +57,6 @@ _VALIDATION_FLAGS = {
                           help="Witness count required for Valid."),
     "seed": click.option("--seed", type=int, default=_VCFG.seed, show_default=True,
                          help="Sampling seed."),
-    "edit_tolerance": click.option("--edit-tolerance", type=int, default=_VCFG.edit_tolerance,
-                                   show_default=True,
-                                   help="Label-token edits allowed when matching paths."),
     "sort_paths": click.option("--sort-paths", type=click.Choice(["on", "off"]),
                                default="on" if _VCFG.mode == "sorted" else "off",
                                show_default=True, help="Order-insensitive path canonicalization."),
@@ -202,7 +199,7 @@ def embed(graph, head, relation, tail, vcfg):
 @main.command("predict-links")
 @click.option("--graph", required=True, type=_FILE_IN)
 @click.option("--tuples", "tuples_path", required=True, type=_FILE_IN)
-@validation_options("l", "sample_size", "seed", "edit_tolerance", "sort_paths")
+@validation_options("l", "sample_size", "seed", "sort_paths")
 def predict_links(graph, tuples_path, vcfg):
     """Print linkage probabilities for candidate tuples."""
     g = _read(load_graph, graph)

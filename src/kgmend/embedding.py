@@ -103,55 +103,9 @@ def _check_comparable(m1: PathEmbedding, m2: PathEmbedding) -> None:
         raise ValueError(f"canonicalization modes differ: {m1.mode!r} vs {m2.mode!r}")
 
 
-def _edit_distance(a: tuple[str, ...], b: tuple[str, ...], limit: int) -> int:
-    """Token-level Levenshtein distance, early exit above limit."""
-    if abs(len(a) - len(b)) > limit:
-        return limit + 1
-    prev = list(range(len(b) + 1))
-    for i, ta in enumerate(a, start=1):
-        cur = [i]
-        best = i
-        for j, tb in enumerate(b, start=1):
-            cost = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ta != tb))
-            cur.append(cost)
-            best = min(best, cost)
-        if best > limit:
-            return limit + 1
-        prev = cur
-    return prev[-1]
-
-
-def _intersection_size(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int) -> int:
-    """Size of the multiset intersection, the common-path count.
-
-    With edit_tolerance > 0, sequences within that token edit distance are
-    merged greedily in canonical order; every occurrence count is consumed at
-    most once. The caller has checked that m1 and m2 compare.
-    """
-    if edit_tolerance < 0:
-        raise ValueError("edit_tolerance must be >= 0")
-    if edit_tolerance == 0:
-        return sum(min(n, m2.counts.get(seq, 0)) for seq, n in m1.counts.items())
-    left = dict(sorted(m1.counts.items()))
-    right = dict(sorted(m2.counts.items()))
-    total = 0
-    for seq1, n1 in left.items():
-        remaining = n1
-        for seq2, n2 in right.items():
-            if remaining == 0:
-                break
-            if n2 == 0:
-                continue
-            if _edit_distance(seq1, seq2, edit_tolerance) <= edit_tolerance:
-                take = min(remaining, n2)
-                total += take
-                remaining -= take
-                right[seq2] = n2 - take
-    return total
-
-
-def sim(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int = 0) -> float:
-    """Common-path count over the smaller multiset size, in [0, 1].
+def sim(m1: PathEmbedding, m2: PathEmbedding) -> float:
+    """Common-path count, the multiset intersection size, over the smaller
+    multiset size, in [0, 1].
 
     Zero when either embedding is empty (the cold-start convention: no side
     paths means no evidence).
@@ -159,7 +113,7 @@ def sim(m1: PathEmbedding, m2: PathEmbedding, edit_tolerance: int = 0) -> float:
     _check_comparable(m1, m2)
     if m1.is_empty() or m2.is_empty():
         return 0.0
-    inter = _intersection_size(m1, m2, edit_tolerance)
+    inter = sum(min(n, m2.counts.get(seq, 0)) for seq, n in m1.counts.items())
     return inter / min(m1.size, m2.size)
 
 

@@ -260,11 +260,12 @@ def iter_prediction_lines(path):
                 if rec.id in seen:
                     raise PredictionFormatError(f"duplicate id {rec.id!r}")
                 seen.add(rec.id)
-                yield rec
             except UnicodeEncodeError:
                 yield PredictionFormatError(f"line {lineno}: not UTF-8")
-            except (json.JSONDecodeError, PredictionFormatError) as exc:
+            except (ValueError, RecursionError) as exc:    # also nesting too deep, an integer too long
                 yield PredictionFormatError(f"line {lineno}: {exc}")
+            else:
+                yield rec
 
 
 def read_predictions(path) -> list[PredictionRecord]:

@@ -3,11 +3,10 @@
 A candidate is Valid when enough sampled same-label patterns look similar to
 its own localized pattern (the support set is the implicit constraint: no
 mined rules, just structural precedent). A short sample escalates to a scan
-of further occurrences; at edit_tolerance 0 the scan reads a posting index
-(label, l, mode) -> sequence -> occurrence positions, kept on the GraphStore,
-since a witness must share a sequence with the candidate. With no support,
-committed edges around the candidate's endpoints decide between Invalid and
-Unknown.
+of further occurrences; the scan reads a posting index (label, l, mode) ->
+sequence -> occurrence positions, kept on the GraphStore, since a witness
+must share a sequence with the candidate. With no support, committed edges
+around the candidate's endpoints decide between Invalid and Unknown.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .patterns import extract_pattern
 VALID = "Valid"
 INVALID = "Invalid"
 UNKNOWN = "Unknown"
+MAX_L = 10                      # walk enumeration recurses l deep and grows exponentially in l
 
 
 @dataclass
@@ -34,20 +34,21 @@ class ValidationConfig:
     sample_size: int = 10
     seed: int = 0
     scan_cap: int = 200         # escalation scan length; 0 turns the scan off
-    edit_tolerance: int = 0
     mode: str = "sorted"
 
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("l must be >= 1")
+        if self.l > MAX_L:
+            raise ValueError(f"l must be <= {MAX_L}")
         if not 0 <= self.theta < 1:
             raise ValueError("theta must be in [0, 1)")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
-        if self.scan_cap < 0 or self.edit_tolerance < 0:
-            raise ValueError("scan_cap and edit_tolerance must be >= 0")
+        if self.scan_cap < 0:
+            raise ValueError("scan_cap must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown canonicalization mode {self.mode!r}")
 
@@ -142,7 +143,7 @@ def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     sims = []
     for center, from_aux in centers:
         source = g.aux_source if from_aux else g
-        sims.append(sim(cand, witness_embedding(source, center, cfg), cfg.edit_tolerance))
+        sims.append(sim(cand, witness_embedding(source, center, cfg)))
     return Evidence(candidate=cand, centers=centers, sims=sims)
 
 
@@ -204,9 +205,9 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
 
     Witnesses are sampled centers with sim above theta. When fewer than
     delta, a scan looks for more among the first scan_cap occurrences that
-    are not s, sampled or ignored, in sorted order. With edit_tolerance 0 a
-    witness shares a sequence with the candidate, so the scan reads only the
-    positions the posting index lists; otherwise it reads every position.
+    are not s, sampled or ignored, in sorted order. A witness shares a
+    sequence with the candidate, so the scan reads only the positions the
+    posting index lists.
     Short of delta, the committed edges at s's endpoints decide between
     Invalid and Unknown; s itself and the `ignore` tuples count for neither.
     """
@@ -217,13 +218,11 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
         order = g.tuples_with_relation(s.relation)
         skip = {c for c, _ in [(s, False), *ev.centers] if c not in ignore}
         end, escalated = _scan_window(order, cfg.scan_cap, ignore, skip)
-        positions = (range(end) if cfg.edit_tolerance      # edit-distance matches share no key
-                     else _shared_positions(g, cfg, order, end, ev.candidate, ignore, skip))
-        for p in positions:
+        for p in _shared_positions(g, cfg, order, end, ev.candidate, ignore, skip):
             center = order[p]
             if center in skip or center in ignore:
                 continue
-            if sim(ev.candidate, witness_embedding(g, center, cfg), cfg.edit_tolerance) > cfg.theta:
+            if sim(ev.candidate, witness_embedding(g, center, cfg)) > cfg.theta:
                 witnesses.append((center, False))
                 count += 1
                 if count >= cfg.delta:

@@ -284,7 +284,7 @@ def pairwise_support_from_evidence(g: GraphStore, s: Tuple, cfg, ev,
                 continue
             escalated = True
             scanned += 1
-            if sim(ev.candidate, witness_embedding(g, center, cfg), cfg.edit_tolerance) > cfg.theta:
+            if sim(ev.candidate, witness_embedding(g, center, cfg)) > cfg.theta:
                 witnesses.append((center, False))
                 count += 1
     if count >= cfg.delta:

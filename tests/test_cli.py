@@ -62,12 +62,14 @@ def test_embed_rejects_a_bad_identifier_as_usage_error(runner, option):
 
 
 def test_embed_rejects_a_radius_below_one(runner):
-    result = runner.invoke(main, [
-        "embed", "--graph", str(DATA / "fixture_b.tsv"),
-        "--head", "India", "--relation", "C", "--tail", "Gorakhpur", "--l", "0",
-    ])
-    assert result.exit_code == 2
-    assert "l must be >= 1" in result.stderr
+    # above the bound, walk enumeration would recurse l deep
+    for l, message in (("0", "l must be >= 1"), ("1200", "l must be <= 10")):
+        result = runner.invoke(main, [
+            "embed", "--graph", str(DATA / "fixture_b.tsv"),
+            "--head", "India", "--relation", "C", "--tail", "Gorakhpur", "--l", l,
+        ])
+        assert result.exit_code == 2
+        assert message in result.stderr
 
 
 def test_validate_emits_one_json_line_per_tuple(runner, tmp_path):
@@ -150,7 +152,7 @@ def test_bad_config_value_exits_two(runner, tmp_path):
 
 
 # every command's knobs, spelled out: adding or removing one changes this test
-_VALIDATION = {"l", "sample_size", "theta", "delta", "seed", "edit_tolerance", "sort_paths"}
+_VALIDATION = {"l", "sample_size", "theta", "delta", "seed", "sort_paths"}
 COMMAND_OPTIONS = {
     "enhance": _VALIDATION | {
         "graph", "predictions", "k", "p_th", "slice_size", "unknown_policy", "max_hold",
@@ -263,16 +265,21 @@ def test_enhance_writes_decisions_graph_and_metrics(runner, tmp_path):
 def test_enhance_counts_malformed_lines_without_aborting(runner, tmp_path):
     graph = support_graph_file(tmp_path)
     preds = tmp_path / "preds.jsonl"
-    preds.write_text('not json at all\n'
-                     '{"id": "n1", "head": "h", "tail": "t",'
-                     ' "candidates": [{"relation": "r", "p": 0.9}]}\n')
     metrics = tmp_path / "metrics.jsonl"
-    result = runner.invoke(main, [
-        "enhance", "--graph", str(graph), "--predictions", str(preds),
-        "--l", "1", "--sample-size", "4", "--metrics", str(metrics),
-    ])
-    assert result.exit_code == 0
-    assert json.loads(metrics.read_text())["malformed"] == 1
+    good = '{"id": "n1", "head": "h", "tail": "t", "candidates": [{"relation": "r", "p": 0.9}]}\n'
+    too_long = good.replace("n1", "n0").replace("0.9", "9" * 5000)   # past Python's int digit limit
+    for bad in ("not json at all\n", "[" * 200_000 + "]" * 200_000 + "\n", too_long):
+        preds.write_text(bad + good)
+        result = runner.invoke(main, [
+            "enhance", "--graph", str(graph), "--predictions", str(preds),
+            "--l", "1", "--sample-size", "4", "--metrics", str(metrics),
+        ])
+        assert result.exit_code == 0
+        assert json.loads(metrics.read_text())["malformed"] == 1
+        assert [json.loads(line)["id"] for line in result.stdout.splitlines()] == ["n1"]
+        result = runner.invoke(main, ["inject-errors", "--predictions", str(preds), "--rate", "0.5"])
+        assert result.exit_code == 2
+        assert "line 1" in result.stderr
 
 
 def test_prediction_byte_that_is_not_utf8_is_a_malformed_record(runner, tmp_path):

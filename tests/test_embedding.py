@@ -121,20 +121,6 @@ def test_sim_rejects_incomparable_embeddings():
         sim(m, _emb({("r", "a"): 1}, mode="positional"))
 
 
-def test_edit_tolerance_merges_near_paths():
-    m1 = _emb({("r", "contains"): 2})
-    m2 = _emb({("r", "containsBy"): 3})
-    assert sim(m1, m2) == 0.0
-    assert sim(m1, m2, edit_tolerance=1) == 1.0
-
-
-def test_edit_tolerance_respects_budget():
-    m1 = _emb({("a", "b", "c"): 1})
-    m2 = _emb({("x", "y", "c"): 1})
-    assert sim(m1, m2, edit_tolerance=1) == 0.0
-    assert sim(m1, m2, edit_tolerance=2) == 1.0
-
-
 def test_hand_built_pair_similarity():
     g1 = GraphStore()
     for s in [Tuple("A", "r", "B"), Tuple("B", "x", "C"),

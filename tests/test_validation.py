@@ -48,8 +48,7 @@ def context_graph(occurrences: int = 3, label: str = "born_in") -> GraphStore:
 
 def test_config_rejects_bad_values():
     for kw in ({"l": 0}, {"theta": 1.0}, {"theta": -0.1}, {"delta": 0},
-               {"sample_size": 0}, {"mode": "shuffled"}, {"scan_cap": -1},
-               {"edit_tolerance": -1}):
+               {"sample_size": 0}, {"mode": "shuffled"}, {"scan_cap": -1}, {"l": 11}):
         with pytest.raises(ValueError):
             ValidationConfig(**kw)
 
@@ -367,8 +366,8 @@ _CHECK = st.tuples(
     st.one_of(_SCAN_EDGE, st.integers(0, 40)),     # any candidate, or a stored one by index
     st.builds(ValidationConfig, l=st.integers(1, 2), theta=st.sampled_from((0.0, 0.2, 0.5)),
               delta=st.integers(1, 3), sample_size=st.integers(1, 3),
-              scan_cap=st.sampled_from((0, 1, 2, 5, 200)), edit_tolerance=st.sampled_from((0, 1)),
-              mode=st.sampled_from(MODES), seed=st.integers(0, 3)),
+              scan_cap=st.sampled_from((0, 1, 2, 5, 200)), mode=st.sampled_from(MODES),
+              seed=st.integers(0, 3)),
     st.lists(st.integers(0, 40), max_size=4),      # ignored stored tuples, by index
     st.booleans(),                                 # ignore the candidate too, as repair_tuple does
 )
