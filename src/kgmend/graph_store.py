@@ -5,8 +5,8 @@ else, and all three hold the same stored Tuple objects: every query returns
 those objects and builds none. Degrees, vertices and the edge count are
 derived from the indexes when asked for. Beside them sit three read caches:
 each label's sorted occurrences, the path embeddings of stored witness
-patterns with, for every vertex, the cached patterns that hold it, and each
-label's posting index over those embeddings (built by `validation`). Set
+patterns with, for every vertex, the cached patterns that hold it, and, until
+the next write, the scan's posting indexes (built by `validation`). Set
 semantics: the same tuple is never stored twice, but parallel edges with
 different labels between the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
@@ -53,8 +53,7 @@ class GraphStore:
     A mutation of (u, r, v) therefore evicts exactly the entries registered
     under u or v, through `cache_embedding`.
 
-    The postings share that invalidation: a mutation of (u, r, v) drops r's
-    postings with r's sorted occurrences, and any eviction drops them all.
+    The posting indexes live until the next write: any mutation drops them all.
     """
 
     def __init__(self) -> None:
@@ -66,8 +65,7 @@ class GraphStore:
         self._relation_order: dict[str, list[Tuple]] = {}
         # (center, l, mode) -> PathEmbedding of stored witnesses
         self.embedding_cache: dict = {}
-        # relation -> (l, mode) -> validation's posting index over the cached
-        # embeddings of that relation's sorted occurrences
+        # (relation, l, mode) -> validation's posting index; dropped on any write
         self.postings: dict = {}
         # cache key -> its pattern's vertices, and vertex -> the cache key, or the
         # set of keys, whose pattern holds it. Most vertices lie in one cached
@@ -107,7 +105,7 @@ class GraphStore:
     def _touch(self, s: Tuple) -> None:
         self._relation_order.pop(s.relation, None)
         if self.postings:
-            self.postings.pop(s.relation, None)
+            self.postings.clear()
         if self.embedding_cache:
             self._evict(s.head)
             self._evict(s.tail)
@@ -117,7 +115,6 @@ class GraphStore:
         held = self._cache_keys.pop(v, None)
         if held is None:
             return
-        self.postings.clear()       # they index embeddings by position, not by key
         for key in held if type(held) is set else (held,):
             del self.embedding_cache[key]
             for w in self._cached_under.pop(key):

@@ -203,7 +203,7 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                               status=REJECTED, joint=0.0, support=0)
     vcfg = cfg.validation
     initial = Tuple(rec.head, top_label, rec.tail)
-    # under repair_instance the context already holds initial: no copy per record
+    # repair_instance's context holds initial unless g held it already; only then is it copied
     ignore = context_ignore if initial in context_ignore else context_ignore | {initial}
 
     def passes(report) -> bool:
@@ -231,11 +231,13 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
                     cfg: RepairConfig) -> list[RepairDecision]:
     """Repair every record against the frozen g-union-instance snapshot.
 
+    The provisional context is the instance tuples g does not already hold: a
+    committed fact that a record re-predicts still testifies for the others.
     Decisions come back in input order; there is no cross-record
     combinatorial search.
     """
     instance = initial_instance(records, cfg.p_th)
-    context = frozenset(instance)
+    context = frozenset(s for s in instance if s not in g)
     with g.overlay(instance):
         return [repair_tuple(g, rec, cfg, context) for rec in records]
 

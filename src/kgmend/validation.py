@@ -4,16 +4,17 @@ A candidate is Valid when enough sampled same-label patterns look similar to
 its own localized pattern (the support set is the implicit constraint: no
 mined rules, just structural precedent). A short sample escalates to a scan
 of further occurrences; the scan reads a posting index (label, l, mode) ->
-sequence -> occurrence positions, kept on the GraphStore, since a witness
-must share a sequence with the candidate. With no support, committed edges
-around the candidate's endpoints decide between Invalid and Unknown.
+sequence -> occurrence positions, kept on the GraphStore until its next
+write, since a witness must share a sequence with the candidate. With no
+support, committed edges around the candidate's endpoints decide between
+Invalid and Unknown.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
@@ -151,7 +152,9 @@ def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
 class Postings:
     """One label's posting index at one (l, mode): canonical sequence ->
     ascending positions in `tuples_with_relation(label)` whose witness
-    embedding holds it, over positions below `size` less the ignored `holes`."""
+    embedding holds it, over positions below `size` less the ignored `holes`.
+    A caller that reads a hole gets a fresh index; one built under a smaller
+    ignore set than the caller's lists positions the caller ignores."""
     lists: dict = field(default_factory=dict)
     size: int = 0
     holes: set = field(default_factory=set)
@@ -171,18 +174,14 @@ def _scan_window(order: list, cap: int, ignore, skip: set) -> tuple[int, bool]:
 
 
 def _shared_positions(g: GraphStore, cfg: ValidationConfig, order: list, end: int,
-                      cand: PathEmbedding, ignore, skip: set) -> list[int]:
+                      cand: PathEmbedding, ignore) -> list[int]:
     """Ascending positions below `end` whose witness embedding shares a
     sequence with cand, from the label's posting index, built on demand."""
-    index = g.postings.setdefault(cand.center_label, {}).setdefault((cfg.l, cfg.mode), Postings())
+    key = (cand.center_label, cfg.l, cfg.mode)
+    index = g.postings.get(key)
+    if index is None or not ignore.issuperset(index.holes):     # it skipped what this caller reads
+        index = g.postings[key] = Postings()
     lists = index.lists
-    if not ignore.issuperset(index.holes):     # an earlier caller ignored what this one reads
-        for center in sorted(index.holes):
-            p = bisect_left(order, center)
-            if p < end and center not in ignore and center not in skip:
-                index.holes.discard(center)
-                for seq in witness_embedding(g, center, cfg).counts:
-                    insort(lists.setdefault(seq, []), p)
     for p in range(index.size, end):
         center = order[p]
         if center in ignore:
@@ -218,7 +217,7 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
         order = g.tuples_with_relation(s.relation)
         skip = {c for c, _ in [(s, False), *ev.centers] if c not in ignore}
         end, escalated = _scan_window(order, cfg.scan_cap, ignore, skip)
-        for p in _shared_positions(g, cfg, order, end, ev.candidate, ignore, skip):
+        for p in _shared_positions(g, cfg, order, end, ev.candidate, ignore):
             center = order[p]
             if center in skip or center in ignore:
                 continue

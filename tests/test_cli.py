@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kgmend import GraphStore, PredictionRecord, Tuple, load_graph, save_graph
 from kgmend.cli import main
-from kgmend.repair import write_predictions
+from kgmend.repair import UNKNOWN_POLICIES, write_predictions
 
 from conftest import DATA, GOLDEN
 
@@ -416,3 +416,84 @@ def test_enhance_uses_auxiliary_graph_for_cold_labels(runner, tmp_path):
     ])
     assert result.exit_code == 0
     assert json.loads(decisions_path.read_text())["status"] == "Accepted"
+
+
+# -- no input ends in a traceback ----------------------------------------------
+
+_BAD_BYTES = [b"\t", b"\r", b"#", b" ", b"NA", "\ufeff".encode(), b"\xff"]
+_NAME_BYTES = st.sampled_from([b"a", b"b", b"r", b"q"])
+_FIELD = st.lists(st.one_of(_NAME_BYTES, st.sampled_from(_BAD_BYTES)), min_size=1, max_size=3)
+
+
+def _tsv_lines(fields: int, last=None):
+    """A file of well-formed `fields`-column lines, or one that mixes in lines
+    of the tokens an input file must reject."""
+    good = st.lists(_NAME_BYTES, min_size=fields, max_size=fields)
+    if last is not None:
+        good = st.tuples(st.lists(_NAME_BYTES, min_size=fields - 1, max_size=fields - 1),
+                         last).map(lambda parts: [*parts[0], parts[1]])
+    good = good.map(b"\t".join)
+    bad = st.lists(_FIELD.map(b"".join), max_size=5).map(b"\t".join)
+    return st.one_of(st.lists(good, max_size=6), st.lists(st.one_of(good, bad), max_size=6)).map(
+        lambda lines: b"".join(x + b"\n" for x in lines))
+
+
+_JSON_NAME = st.sampled_from(["a", "b", "r", "q", "NA", "#a", "a\tb", " a", "\ud800", "", 7])
+_P = st.sampled_from([0.9, 0.5, 0.1, 1.5, -1, "0.5", None, True])
+_RECORD_LINE = st.builds(
+    lambda rid, head, tail, cands: json.dumps({
+        "id": rid, "head": head, "tail": tail,
+        "candidates": [{"relation": r, "p": p} for r, p in cands]}).encode(),
+    st.sampled_from(["x", "y", "z"]), _JSON_NAME, _JSON_NAME,
+    st.lists(st.tuples(_JSON_NAME, _P), max_size=3))
+_ODD_LINE = st.sampled_from([
+    b"[" * 100_000,
+    b'{"id": "big", "head": "a", "tail": "b", "candidates": [{"relation": "r", "p": 0.'
+    + b"9" * 5000 + b"}]}",
+    b'{"id": "big", "head": "a", "tail": "b", "candidates": [{"relation": "r", "p": '
+    + b"9" * 5000 + b"}]}",
+    "\ufeff".encode()
+    + b'{"id": "bom", "head": "a", "tail": "b", "candidates": [{"relation": "r", "p": 1}]}',
+    b'{"id": "x", "head": "a\xff", "tail": "b", "candidates": [{"relation": "r", "p": 1}]}',
+])
+_PREDICTIONS = st.lists(st.one_of(_RECORD_LINE, _ODD_LINE, _FIELD.map(b"".join)), max_size=6).map(
+    lambda lines: b"".join(x + b"\n" for x in lines))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(graph=_tsv_lines(3), aux=_tsv_lines(3), label_map=_tsv_lines(2), tuples=_tsv_lines(3),
+       facts=_tsv_lines(4, st.sampled_from([b"1", b"0", b"2", b""])), predictions=_PREDICTIONS,
+       center=st.lists(_JSON_NAME.filter(lambda x: isinstance(x, str)), min_size=3, max_size=3),
+       slice_size=st.integers(1, 3))
+def test_no_input_ends_in_a_traceback(graph, aux, label_map, tuples, facts, predictions, center,
+                                      slice_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {"graph": graph, "aux": aux, "map": label_map, "tuples": tuples, "facts": facts,
+                 "preds": predictions}
+        for name, content in files.items():
+            (tmp / name).write_bytes(content)
+        out_graph = tmp / "out.tsv"
+        aux_flag, map_flag = ["--aux-graph", str(tmp / "aux")], ["--label-map", str(tmp / "map")]
+        enhance = ["enhance", "--graph", str(tmp / "graph"), "--predictions", str(tmp / "preds"),
+                   "--l", "1", "--sample-size", "2", "--slice-size", str(slice_size),
+                   "--out-graph", str(out_graph)]
+        commands = [[*enhance, "--unknown-policy", policy, *flags] for policy in UNKNOWN_POLICIES
+                    for flags in ([], aux_flag + map_flag, aux_flag, map_flag)]
+        commands += [
+            ["validate", "--graph", str(tmp / "graph"), "--tuples", str(tmp / "tuples")],
+            ["predict-links", "--graph", str(tmp / "graph"), "--tuples", str(tmp / "tuples")],
+            ["detect-errors", "--graph", str(tmp / "graph"), "--facts", str(tmp / "facts")],
+            ["embed", "--graph", str(tmp / "graph"), "--head", center[0], "--relation", center[1],
+             "--tail", center[2], "--l", "2"],
+            ["stats", "--graph", str(tmp / "graph")],
+            ["inject-errors", "--predictions", str(tmp / "preds"), "--rate", "0.5"],
+        ]
+        for args in commands:
+            out_graph.unlink(missing_ok=True)
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code in (0, 2), (args, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (args, result.exception)
+            if args[0] == "enhance" and result.exit_code == 0:
+                load_graph(out_graph)

@@ -292,3 +292,16 @@ def test_instance_decisions_are_per_record_repairs_in_input_order():
         one_by_one = [repair_tuple(g, r, rcfg(), frozenset(instance)) for r in records]
     assert decisions == one_by_one
     assert [d.id for d in decisions] == [r.id for r in records]
+
+
+def test_a_re_predicted_committed_fact_still_testifies():
+    # record A re-predicts the stored (x, r, y), B's only witness: the
+    # overlay inserts nothing for A, so (x, r, y) stays committed evidence
+    g = GraphStore()
+    for s in [("x", "ctx", "x_c"), ("u", "ctx", "u_c"), ("x", "r", "y")]:
+        g.add_tuple(Tuple(*s))
+    a = rec("A", "x", "y", ("r", 0.9))
+    b = rec("B", "u", "v", ("r", 0.9))
+    alone = repair_instance(g, [b], rcfg())
+    assert [(d.status, d.support) for d in alone] == [("Accepted", 1)]
+    assert repair_instance(g, [a, b], rcfg())[1] == alone[0]

@@ -9,18 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgmend import (
+    BenchmarkSpec,
     GraphStore,
     INVALID,
+    PredictionRecord,
+    RepairConfig,
     Tuple,
     UNKNOWN,
     VALID,
     ValidationConfig,
+    benchmark_generate,
     classify,
+    inject_errors,
+    repair,
+    repair_instance,
+    validation,
 )
 from kgmend.embedding import MODES, sim, traverse_r
 from kgmend.patterns import extract_pattern
 from kgmend.validation import (
     Evidence,
+    Postings,
     candidate_embedding,
     gather_evidence,
     sample_centers,
@@ -203,7 +212,7 @@ def test_scan_window_counts_only_eligible_occurrences(decoys, found, ignore_self
     assert report.witnesses == ([(twin, False)] if found else [])
 
 
-def test_postings_fill_holes_and_follow_mutations():
+def test_postings_are_rebuilt_when_a_hole_is_read_and_dropped_on_any_write():
     g = window_graph(1)     # born_in: a_self, b_ignored, c_sampled0, c_sampled1, d00, z_twin
     g.add_tuple(Tuple("p9", "works_in", "p9_w"))
     s = Tuple("p9", "born_in", "p9_c")
@@ -219,13 +228,45 @@ def test_postings_fill_holes_and_follow_mutations():
         return [c for c, _ in report.witnesses]
 
     assert witnesses(frozenset(twins[:2])) == twins[2:]    # two holes in the postings
-    assert witnesses() == twins                            # a later caller fills them
-    early = Tuple("a0", "born_in", "a0_c")
+    assert witnesses() == twins                            # a later caller reading them rebuilds
+    assert g.postings
     g.add_tuple(Tuple("a0", "works_in", "a0_w"))           # far from every cached pattern,
-    g.add_tuple(early)                                     # but it shifts every position
+    assert g.postings == {}                                # yet every index is dropped
+    early = Tuple("a0", "born_in", "a0_c")
+    g.add_tuple(early)                                     # it shifts every position
     assert witnesses() == [early] + twins[:2]
     assert witnesses(delta=4, scan_cap=6) == [early] + twins[:2]    # z_twin is 7th of 7
     assert witnesses(delta=4, scan_cap=7) == [early] + twins
+
+
+def test_the_records_of_one_snapshot_share_one_posting_index_per_label(monkeypatch):
+    # no write happens inside repair_instance's overlay, so every escalated
+    # label's index is built once, even with a re-predicted committed fact last
+    built = []
+
+    class Counted(Postings):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    escalated = set()
+
+    def recorded(g, s, cfg, ev, ignore=frozenset()):
+        report = support_from_evidence(g, s, cfg, ev, ignore)
+        if report.escalated:
+            escalated.add(s.relation)
+        return report
+
+    monkeypatch.setattr(validation, "Postings", Counted)
+    monkeypatch.setattr(repair, "support_from_evidence", recorded)
+    g, records, _ = benchmark_generate(
+        BenchmarkSpec(records=60, labels=3, occurrences_per_label=10, seed=0))
+    committed = Tuple("e00_0a", "rel00", "e00_0b")
+    assert committed in g
+    records = inject_errors(records, rate=0.3, seed=0)
+    records.append(PredictionRecord("again", committed.head, committed.tail, (("rel00", 0.9),)))
+    repair_instance(g, records, RepairConfig())
+    assert escalated and len(built) <= len(escalated), (len(built), escalated)
 
 
 def test_classify_invalid_when_other_label_links_endpoints():
@@ -317,18 +358,17 @@ def _assert_cache_coherent(g: GraphStore) -> None:
         expected |= {(v, key) for v in pattern.vertices}
     assert cache_registrations(g) == expected
     assert all(g._cache_keys.values())
-    for label, by_cfg in g.postings.items():
+    for (label, l, mode), index in g.postings.items():
         order = g.tuples_with_relation(label)
         position = {c: p for p, c in enumerate(order)}
-        for (l, mode), index in by_cfg.items():
-            assert index.size <= len(order)
-            assert all(position.get(c, index.size) < index.size for c in index.holes)
-            fresh: dict = {}
-            for p in range(index.size):
-                if order[p] not in index.holes:
-                    for seq in g.embedding_cache[(order[p], l, mode)].counts:
-                        fresh.setdefault(seq, []).append(p)
-            assert index.lists == fresh
+        assert index.size <= len(order)
+        assert all(position.get(c, index.size) < index.size for c in index.holes)
+        fresh: dict = {}
+        for p in range(index.size):
+            if order[p] not in index.holes:
+                for seq in g.embedding_cache[(order[p], l, mode)].counts:
+                    fresh.setdefault(seq, []).append(p)
+        assert index.lists == fresh
 
 
 @pytest.mark.parametrize("mode", MODES)
