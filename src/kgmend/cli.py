@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 
 import click
@@ -87,11 +88,18 @@ def validation_options(*flags):
 
 
 def _read(reader, path):
-    """`reader(path)`, with malformed input reported as a usage error."""
+    """`reader(path)`, with malformed input reported as a usage error.
+
+    What has been read is then frozen (`gc.freeze`), so that the collections
+    during the rest of the command never walk it again: a loaded graph holds
+    no reference cycle and lives until the command exits.
+    """
     try:
-        return reader(path)
+        found = reader(path)
     except _INPUT_ERRORS as exc:
         raise _usage(exc) from exc
+    gc.freeze()
+    return found
 
 
 @click.group()

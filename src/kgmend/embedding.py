@@ -18,7 +18,7 @@ different modes never compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .patterns import LocalizedPattern
 
@@ -55,6 +55,23 @@ def _side_adjacency(p: LocalizedPattern) -> dict[str, list[tuple[str, str]]]:
     return adj
 
 
+def _walks(adj: dict, memo: dict, v: str, steps: int) -> dict:
+    """Label sequence -> number of distinct walks of `steps` edges from v over
+    `adj`, memoised in `memo` by (v, steps)."""
+    found = memo.get((v, steps))
+    if found is None:
+        if steps == 0:
+            found = {(): 1}
+        else:
+            found = {}
+            for label, other in adj[v]:
+                for seq, n in _walks(adj, memo, other, steps - 1).items():
+                    key = (label,) + seq
+                    found[key] = found.get(key, 0) + n
+        memo[v, steps] = found
+    return found
+
+
 def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbedding:
     """Compute the path embedding of pattern p at walk budget l.
 
@@ -67,30 +84,17 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
     if mode not in MODES:
         raise ValueError(f"unknown canonicalization mode {mode!r}")
     adj = _side_adjacency(p)
-
-    @lru_cache(maxsize=None)
-    def walks(v: str, steps: int) -> dict:
-        # label sequence -> number of distinct walks from v realizing it
-        if steps == 0:
-            return {(): 1}
-        acc: dict = {}
-        for label, other in adj[v]:
-            for seq, n in walks(other, steps - 1).items():
-                key = (label,) + seq
-                acc[key] = acc.get(key, 0) + n
-        return acc
-
+    memo: dict = {}
     center = p.center.relation
     counts: dict = {}
     for a in range(l + 1):
-        for head_seq, hn in walks(p.center.head, a).items():
-            for tail_seq, tn in walks(p.center.tail, l - a).items():
+        for head_seq, hn in _walks(adj, memo, p.center.head, a).items():
+            for tail_seq, tn in _walks(adj, memo, p.center.tail, l - a).items():
                 if mode == "sorted":
                     key = tuple(sorted((center,) + head_seq + tail_seq))
                 else:
                     key = tuple(reversed(head_seq)) + (center,) + tail_seq
                 counts[key] = counts.get(key, 0) + hn * tn
-    walks.cache_clear()
     return PathEmbedding(center_label=center, radius=l, mode=mode, counts=counts)
 
 

@@ -15,6 +15,8 @@ physical removal.
 
 from __future__ import annotations
 
+import gc
+import re
 import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple
@@ -242,27 +244,45 @@ def identifier(value: str) -> str:
     return v
 
 
+# A cell `identifier` returns unchanged, recognised in the same regex pass as
+# the line's other two: printable ASCII, not led by `#` or a space, and not
+# ending in one.
+_PLAIN_CELL = r'([!"$-~][ -~]*(?<! ))'
+_plain_cells = re.compile("\t".join([_PLAIN_CELL] * 3)).fullmatch
+
+
 def parse_tuple_line(line: str, lineno: int) -> Tuple:
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise GraphFormatError(f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(parts)} fields")
-    try:
-        # three calls, not a generator: this runs for every line of every graph file
-        head = sys.intern(identifier(parts[0]))
-        relation = sys.intern(identifier(parts[1]))
-        tail = sys.intern(identifier(parts[2]))
-    except ValueError as exc:
-        raise GraphFormatError(f"line {lineno}: {exc}") from None
+    """`head<TAB>relation<TAB>tail` as a Tuple of interned strings.
+
+    A plain line is checked in one pass. Any other (non-ASCII, a CR, or a
+    blank, `#`-led or padded cell) goes through `identifier` cell by cell,
+    which stays the one definition of the rule. NA and the field count are
+    checked on every line.
+    """
+    plain = _plain_cells(line)
+    if plain is not None:
+        head, relation, tail = plain.groups()
+    else:
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise GraphFormatError(f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(parts)} fields")
+        try:
+            # three calls, not a generator: a CRLF file sends every line here
+            head, relation, tail = identifier(parts[0]), identifier(parts[1]), identifier(parts[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
     if relation == NA:
         raise GraphFormatError(f"line {lineno}: relation label NA is not storable")
-    return Tuple(head, relation, tail)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, once per line
+    return tuple.__new__(Tuple, (sys.intern(head), sys.intern(relation), sys.intern(tail)))
 
 
 def open_input(path):
     """Open an input file for reading: UTF-8, a leading byte-order mark
     skipped, and a byte that does not decode kept as a lone surrogate for
-    `identifier` to reject."""
-    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+    `identifier` to reject. Lines end at LF only, so a CR stays in its line,
+    where `identifier` strips it from a CRLF ending and rejects it elsewhere."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n")
 
 
 def read_tuples(path) -> list[Tuple]:
@@ -270,17 +290,32 @@ def read_tuples(path) -> list[Tuple]:
     with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            if line.lstrip()[:1] in ("", "#"):      # blank, or a comment
                 continue
             out.append(parse_tuple_line(line, lineno))
     return out
 
 
 def load_graph(path) -> GraphStore:
-    g = GraphStore()
-    for s in read_tuples(path):
-        g.add_tuple(s)
-    return g
+    """Read a graph file into a new store.
+
+    The cyclic garbage collector is paused while the store is built, and the
+    caller's collector state is restored on return or error. A load allocates
+    a few objects per line, which would set off hundreds of collections on a
+    large graph, some walking the whole store built so far, and none could
+    free anything: the store holds Tuples of strings in sets and dicts, with
+    no reference cycle.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = GraphStore()
+        for s in read_tuples(path):
+            g.add_tuple(s)
+        return g
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_graph(g: GraphStore, path) -> None:

@@ -3,18 +3,21 @@
 Everything here trades speed for literalness: walks are enumerated one edge
 at a time, support subgraphs by explicit subset enumeration plus backtracking
 monomorphism search, similarity by exhaustive matching search, the
-escalation scan by one pairwise `sim` per occurrence. Hard input caps keep
+escalation scan by one pairwise `sim` per occurrence, a graph file by the
+identifier rule on every cell. Hard input caps keep
 runtimes sane; none of this is reachable from the CLI.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 from kgmend.embedding import sim
-from kgmend.graph_store import GraphStore, Tuple
+from kgmend.graph_store import NA, GraphFormatError, GraphStore, Tuple, identifier
 from kgmend.patterns import LocalizedPattern, extract_pattern
 from kgmend.validation import INVALID, UNKNOWN, VALID, SupportReport, witness_embedding
 
@@ -301,3 +304,31 @@ def pairwise_support_from_evidence(g: GraphStore, s: Tuple, cfg, ev,
     # the invalidity argument is only proven at l = 1
     return SupportReport(tuple=s, support_count=count, status=status, witnesses=witnesses,
                          escalated=escalated, heuristic=status == INVALID and cfg.l > 1)
+
+
+def tuple_by_rule(line: str, lineno: int) -> Tuple:
+    """One graph line read with `identifier` on every cell.
+
+    The reference for `kgmend.graph_store.parse_tuple_line`, whose plain lines
+    skip `identifier`: the same Tuple, or the same `GraphFormatError` message.
+    """
+    cells = line.split("\t")
+    if len(cells) != 3:
+        raise GraphFormatError(
+            f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(cells)} fields")
+    try:
+        head, relation, tail = (sys.intern(identifier(cell)) for cell in cells)
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+    if relation == NA:
+        raise GraphFormatError(f"line {lineno}: relation label NA is not storable")
+    return Tuple(head, relation, tail)
+
+
+def read_tuples_by_rule(path) -> list[Tuple]:
+    """A graph file split at LF only, its blank and `#` lines skipped, and
+    every other line read by `tuple_by_rule`: the reference for
+    `kgmend.graph_store.read_tuples`."""
+    text = Path(path).read_bytes().decode("utf-8-sig", errors="surrogateescape")
+    return [tuple_by_rule(line, lineno) for lineno, line in enumerate(text.split("\n"), start=1)
+            if line.strip() and not line.lstrip().startswith("#")]

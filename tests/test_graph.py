@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +15,11 @@ from hypothesis import strategies as st
 from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, load_graph, save_graph
 from kgmend.evalkit import read_labeled_facts
 from kgmend.graph_store import parse_tuple_line, read_tuples
-from kgmend.repair import iter_prediction_lines
+from kgmend.repair import PredictionFormatError, iter_prediction_lines
 from kgmend.stream import load_label_map
 
 from conftest import cache_registrations
+from oracle import read_tuples_by_rule, tuple_by_rule
 
 
 def small_graph() -> GraphStore:
@@ -189,6 +194,139 @@ def test_readers_skip_a_leading_byte_order_mark(tmp_path, reader, text):
     plain.write_bytes(text.encode())
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
     assert reader(plain) and reader(marked) == reader(plain)
+
+
+@pytest.mark.parametrize("reader, text", _BOM_INPUTS.values(), ids=_BOM_INPUTS)
+def test_readers_accept_crlf_endings(tmp_path, reader, text):
+    lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert reader(lf) and reader(crlf) == reader(lf)
+
+
+def test_a_lone_cr_does_not_end_a_graph_line(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"a\tr\tb\n# comment\n\nx\tr\ty\rz\n")
+    with pytest.raises(GraphFormatError, match=r"^line 4: 'y\\rz' .* CR"):
+        load_graph(path)
+
+
+def test_a_lone_cr_does_not_end_a_prediction_line(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    record = '{{"id": "{}", "head": "a", "tail": "b", "candidates": [{{"relation": "r", "p": 1}}]}}'
+    path.write_bytes(f"{record.format('r1')}\r{record.format('r2')}\n".encode())
+    [item] = iter_prediction_lines(path)
+    assert isinstance(item, PredictionFormatError) and str(item).startswith("line 1: ")
+
+
+# -- the one-pass parse against the identifier rule ---------------------------
+
+_NAMES = [b"a", b"rel", b"e_1", b"x y", b"a#b"]
+_ODD = [b" ", b"#", b"\t", b"\r", b"\r\n", b"\x0b", b"\x1c", b"\x7f", b"NA", "\ufeff".encode(),
+        "\u00a0".encode(), "\u00e9".encode(), b"\xff"]
+
+
+def _with_odd_token(cells, odd, at, where):
+    """The cells, one of them with `odd` put before, after or inside it, or in its place."""
+    cell = cells[at]
+    cells[at] = {"before": odd + cell, "after": cell + odd, "inside": cell[:1] + odd + cell[1:],
+                 "instead": odd}[where]
+    return (b"\t" if isinstance(cell, bytes) else "\t").join(cells)
+
+
+_GRAPH_LINE = st.one_of(
+    st.builds(_with_odd_token, st.lists(st.sampled_from(_NAMES), min_size=3, max_size=3),
+              st.sampled_from([b"", *_ODD]), st.integers(0, 2),
+              st.sampled_from(["before", "after", "inside", "instead"])),
+    st.lists(st.lists(st.sampled_from([*_NAMES, *_ODD]), max_size=3).map(b"".join),
+             min_size=2, max_size=4).map(b"\t".join),
+    st.sampled_from([b"", b"   ", b"# a comment", b" #\tx"]),
+)
+_GRAPH_FILE = st.tuples(
+    st.sampled_from([b"", "\ufeff".encode()]),
+    st.lists(st.tuples(_GRAPH_LINE, st.sampled_from([b"\n", b"\r\n"])), max_size=6),
+    st.sampled_from([b"", b"x\tr\ty"]),       # a last line without LF
+).map(lambda f: f[0] + b"".join(line + end for line, end in f[1]) + f[2])
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(content=_GRAPH_FILE)
+def test_read_tuples_follows_the_identifier_rule_on_every_line(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        path.write_bytes(content)
+        got = _outcome(read_tuples, path)
+        assert got == _outcome(read_tuples_by_rule, path)
+    if isinstance(got, list):
+        assert all(type(s) is Tuple for s in got)
+        assert all(sys.intern(x) is x for s in got for x in s)     # one object per string
+    # a file stops at its first bad line, so hold every line to the rule on its own too
+    text = content.decode("utf-8-sig", errors="surrogateescape")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        assert _outcome(parse_tuple_line, line, lineno) == _outcome(tuple_by_rule, line, lineno)
+
+
+_ODD_CHARS = [chr(c) for c in range(128)] + ["\x85", "\xa0", "\u00e9", "\u3000", "\ufeff", "\udcff"]
+
+
+def test_parse_tuple_line_follows_the_identifier_rule_for_any_one_odd_character():
+    for odd, at, where in itertools.product(_ODD_CHARS, range(3), ("before", "after", "inside", "instead")):
+        line = _with_odd_token(["a", "rel", "x y"], odd, at, where)
+        assert _outcome(parse_tuple_line, line, 1) == _outcome(tuple_by_rule, line, 1), repr(line)
+
+
+# -- the collector during a load ----------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Collections started while the test runs; the collector state is restored."""
+    enabled = gc.isenabled()
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_load_graph_sets_off_no_collection(tmp_path, collector):
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"e{i}\tr{i % 7}\te{(i * 31) % 20_000}\n" for i in range(20_000)))
+    gc.enable()
+    gc.collect()
+    collector.clear()
+    g = load_graph(path)
+    assert collector == [] and len(g) == 20_000
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad"])
+def test_load_graph_leaves_the_collector_as_it_found_it(tmp_path, collector, enabled, bad):
+    path = tmp_path / "g.tsv"
+    lines = [f"e{i}\tr\te{i + 1}\n" for i in range(1_000)]
+    if bad:
+        lines[500] = "e\tr\n"
+    path.write_text("".join(lines))
+    (gc.enable if enabled else gc.disable)()
+    if bad:
+        with pytest.raises(GraphFormatError, match="^line 501: "):
+            load_graph(path)
+    else:
+        assert len(load_graph(path)) == 1_000
+    assert gc.isenabled() == enabled
 
 
 # -- the store against a plain set of Tuples ----------------------------------
