@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph_store import GraphFormatError, GraphStore, NA, Tuple, open_input, parse_tuple_line
@@ -35,7 +36,10 @@ class ScoreReport:
     f_score: float
 
     @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int, tn: int) -> "ScoreReport":
+    def from_pairs(cls, pairs) -> "ScoreReport":
+        """Confusion counts and scores over (predicted positive, actually positive) pairs."""
+        counts = Counter(pairs)
+        tp, fp, fn, tn = counts[True, True], counts[True, False], counts[False, True], counts[False, False]
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -84,20 +88,10 @@ def score(decisions: list[RepairDecision], gold: list[GoldLabel]) -> ScoreReport
     missing = [dec.id for dec in decisions if dec.id not in truth]
     if missing:
         raise ValueError(f"no gold label for record ids: {', '.join(sorted(missing))}")
-    tp = fp = fn = tn = 0
-    for dec in decisions:
-        expected = truth[dec.id]
-        if dec.final != NA:
-            if dec.final == expected:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if expected != NA:
-                fn += 1
-            else:
-                tn += 1
-    return ScoreReport.from_counts(tp, fp, fn, tn)
+    # a kept label is positive when it is the gold one; a dropped one when gold is not NA
+    return ScoreReport.from_pairs(
+        (dec.final != NA, dec.final == truth[dec.id] if dec.final != NA else truth[dec.id] != NA)
+        for dec in decisions)
 
 
 def detect_errors(
@@ -111,21 +105,14 @@ def detect_errors(
     Valid predicts true; Unknown predicts false unless unknown_is_true is
     set. The facts must not already sit in the training graph.
     """
-    tp = fp = fn = tn = 0
+    pairs = []
     for fact, actually_true in labeled_facts:
         if fact in g_train:
             raise ValueError(f"labeled fact {fact} already present in the training graph")
         report = classify(g_train, fact, cfg)
-        predicted_true = report.status == VALID or (unknown_is_true and report.status == UNKNOWN)
-        if predicted_true and actually_true:
-            tp += 1
-        elif predicted_true:
-            fp += 1
-        elif actually_true:
-            fn += 1
-        else:
-            tn += 1
-    return ScoreReport.from_counts(tp, fp, fn, tn)
+        pairs.append((report.status == VALID or (unknown_is_true and report.status == UNKNOWN),
+                      bool(actually_true)))
+    return ScoreReport.from_pairs(pairs)
 
 
 # -- planted benchmark --------------------------------------------------------

@@ -246,18 +246,18 @@ def identifier(value: str) -> str:
 
 # A cell `identifier` returns unchanged, recognised in the same regex pass as
 # the line's other two: printable ASCII, not led by `#` or a space, and not
-# ending in one.
+# ending in one. The CR of a CRLF ending, which `identifier` strips, may follow.
 _PLAIN_CELL = r'([!"$-~][ -~]*(?<! ))'
-_plain_cells = re.compile("\t".join([_PLAIN_CELL] * 3)).fullmatch
+_plain_cells = re.compile("\t".join([_PLAIN_CELL] * 3) + "\r?").fullmatch
 
 
 def parse_tuple_line(line: str, lineno: int) -> Tuple:
     """`head<TAB>relation<TAB>tail` as a Tuple of interned strings.
 
-    A plain line is checked in one pass. Any other (non-ASCII, a CR, or a
-    blank, `#`-led or padded cell) goes through `identifier` cell by cell,
-    which stays the one definition of the rule. NA and the field count are
-    checked on every line.
+    A plain line, CRLF ending included, is checked in one pass. Any other
+    (non-ASCII, an inner CR, or a blank, `#`-led or padded cell) goes through
+    `identifier` cell by cell, which stays the one definition of the rule.
+    NA and the field count are checked on every line.
     """
     plain = _plain_cells(line)
     if plain is not None:
@@ -267,7 +267,6 @@ def parse_tuple_line(line: str, lineno: int) -> Tuple:
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(parts)} fields")
         try:
-            # three calls, not a generator: a CRLF file sends every line here
             head, relation, tail = identifier(parts[0]), identifier(parts[1]), identifier(parts[2])
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {exc}") from None

@@ -72,7 +72,7 @@ class RepairDecision:
     joint: float
     support: int
     terminal: bool = False
-    checks: int = 0      # label checks spent, at most k
+    checks: int = 0      # labels sampled and decided, at most k; Top-1 alone when it passes
 
     def to_json(self) -> str:
         payload = {
@@ -165,11 +165,6 @@ def _top_k_labels(rec: PredictionRecord, k: int) -> list[tuple[str, float]]:
     return picked
 
 
-def _by_joint(row) -> tuple:
-    """Sort key for (label, p, joint, ...) rows: joint, then p, descending, then label."""
-    return (-row[2], -row[1], row[0])
-
-
 def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                  link_fn=None) -> list[tuple[str, float]]:
     """Acquisition probability times linkage prediction for the Top-k labels.
@@ -182,7 +177,7 @@ def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     scored = []
     for label, p in _top_k_labels(rec, cfg.k):
         scored.append((label, p, p * link(g, rec.head, rec.tail, label, cfg.validation)))
-    scored.sort(key=_by_joint)
+    scored.sort(key=lambda row: (-row[2], -row[1], row[0]))
     return [(label, joint) for label, _, joint in scored]
 
 
@@ -191,11 +186,12 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     """Validate the Top-1 label, then walk the joint-ranked alternatives.
 
     Unknown classifications follow cfg.unknown_policy: accept passes them,
-    hold defers the whole record, reject treats them as failures. Each
-    Top-k label is checked at most once, Top-1 first, so at most k checks
-    are spent per record. `context_ignore` names provisional tuples sharing
-    the snapshot that must not count as committed evidence; the record's own
-    Top-1 tuple is always ignored.
+    hold defers the whole record, reject treats them as failures. When Top-1
+    fails, `joint_scores` ranks the Top-k labels and the first alternative in
+    that order that passes wins. Each label is sampled and decided once, when
+    its link score is first asked for. `context_ignore` names provisional
+    tuples sharing the snapshot that must not count as committed evidence;
+    the record's own Top-1 tuple is always ignored.
     """
     top_label, top_p = rec.candidates[0]
     if top_label == NA or top_p < cfg.p_th:
@@ -205,26 +201,35 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     initial = Tuple(rec.head, top_label, rec.tail)
     # repair_instance's context holds initial unless g held it already; only then is it copied
     ignore = context_ignore if initial in context_ignore else context_ignore | {initial}
+    evidence, reports = {}, {}      # label -> its sampled evidence, and its decided report
+
+    # Every sampled label is decided, not only those up to the winner. A label's first
+    # escalation in a snapshot builds its posting index; deciding them all keeps those
+    # builds in a snapshot's first few failing records, where stopping at the winner
+    # spreads them over one record per label and lengthens the per-record latency tail.
+    def link(g, h, t, r, vcfg) -> float:
+        if r not in evidence:
+            s = Tuple(h, r, t)
+            evidence[r] = gather_evidence(g, s, vcfg, ignore)
+            reports[r] = support_from_evidence(g, s, vcfg, evidence[r], ignore)
+        return evidence[r].link
 
     def passes(report) -> bool:
         return report.status == VALID or (report.status == UNKNOWN and cfg.unknown_policy == "accept")
 
-    rows = []       # (label, p, joint, report); Top-1 is not NA, so it comes first
-    for label, p in _top_k_labels(rec, cfg.k):
-        s = Tuple(rec.head, label, rec.tail)
-        ev = gather_evidence(g, s, vcfg, ignore)
-        rows.append((label, p, p * ev.link, support_from_evidence(g, s, vcfg, ev, ignore)))
-        if len(rows) == 1 and passes(rows[0][3]):
-            break               # Top-1 stands: the alternatives are never checked
-    for label, _, joint, report in rows[:1] + sorted(rows[1:], key=_by_joint):
-        if passes(report):
+    ranked = [(top_label, top_p * link(g, rec.head, rec.tail, top_label, vcfg))]
+    if not passes(reports[top_label]):
+        ranked += [row for row in joint_scores(g, rec, cfg, link_fn=link) if row[0] != top_label]
+    for label, joint in ranked:
+        if passes(reports[label]):
             return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=label,
                                   status=ACCEPTED if label == top_label else REPAIRED,
-                                  joint=joint, support=report.support_count, checks=len(rows))
-    held = cfg.unknown_policy == "hold" and any(row[3].status == UNKNOWN for row in rows)
+                                  joint=joint, support=reports[label].support_count,
+                                  checks=len(evidence))
+    held = cfg.unknown_policy == "hold" and any(r.status == UNKNOWN for r in reports.values())
     return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=NA,
                           status=HELD if held else REJECTED, joint=0.0,
-                          support=rows[0][3].support_count, checks=len(rows))
+                          support=reports[top_label].support_count, checks=len(evidence))
 
 
 def repair_instance(g: GraphStore, records: list[PredictionRecord],

@@ -3,8 +3,9 @@
 Everything here trades speed for literalness: walks are enumerated one edge
 at a time, support subgraphs by explicit subset enumeration plus backtracking
 monomorphism search, similarity by exhaustive matching search, the
-escalation scan by one pairwise `sim` per occurrence, a graph file by the
-identifier rule on every cell. Hard input caps keep
+escalation scan by one pairwise `sim` per occurrence, a record's repair by
+an explicit sort of its decided labels, a graph file by the identifier rule
+on every cell. Hard input caps keep
 runtimes sane; none of this is reachable from the CLI.
 """
 
@@ -19,7 +20,16 @@ from pathlib import Path
 from kgmend.embedding import sim
 from kgmend.graph_store import NA, GraphFormatError, GraphStore, Tuple, identifier
 from kgmend.patterns import LocalizedPattern, extract_pattern
-from kgmend.validation import INVALID, UNKNOWN, VALID, SupportReport, witness_embedding
+from kgmend.repair import ACCEPTED, HELD, REJECTED, REPAIRED, RepairDecision
+from kgmend.validation import (
+    INVALID,
+    UNKNOWN,
+    VALID,
+    SupportReport,
+    gather_evidence,
+    support_from_evidence,
+    witness_embedding,
+)
 
 MAX_WALK_VERTICES = 12
 MAX_WALK_RADIUS = 3
@@ -304,6 +314,47 @@ def pairwise_support_from_evidence(g: GraphStore, s: Tuple, cfg, ev,
     # the invalidity argument is only proven at l = 1
     return SupportReport(tuple=s, support_count=count, status=status, witnesses=witnesses,
                          escalated=escalated, heuristic=status == INVALID and cfg.l > 1)
+
+
+def reference_repair_tuple(g: GraphStore, rec, cfg, context_ignore: frozenset = frozenset()):
+    """A record's repair spelled out over (label, p, joint, report) rows.
+
+    The reference for `kgmend.repair.repair_tuple`, which ranks through
+    `joint_scores` with a link function that samples and decides each label
+    once: this decides Top-1, and when it fails every other Top-k label, then
+    walks Top-1 and the rest sorted by its own joint-score key.
+    """
+    top_label, top_p = rec.candidates[0]
+    if top_label == NA or top_p < cfg.p_th:
+        return RepairDecision(rec.id, rec.head, rec.tail, initial=NA, final=NA,
+                              status=REJECTED, joint=0.0, support=0)
+    vcfg = cfg.validation
+    ignore = context_ignore | {Tuple(rec.head, top_label, rec.tail)}
+
+    def passes(report) -> bool:
+        return report.status == VALID or (report.status == UNKNOWN and cfg.unknown_policy == "accept")
+
+    top_k = []          # the first k distinct non-NA labels, in candidate order
+    for label, p in rec.candidates:
+        if label != NA and label not in [seen for seen, _ in top_k] and len(top_k) < cfg.k:
+            top_k.append((label, p))
+    rows = []           # (label, p, joint, report); Top-1 is not NA, so it comes first
+    for label, p in top_k:
+        s = Tuple(rec.head, label, rec.tail)
+        ev = gather_evidence(g, s, vcfg, ignore)
+        rows.append((label, p, p * ev.link, support_from_evidence(g, s, vcfg, ev, ignore)))
+        if len(rows) == 1 and passes(rows[0][3]):
+            break
+    alternatives = sorted(rows[1:], key=lambda row: (-row[2], -row[1], row[0]))
+    for label, _, joint, report in rows[:1] + alternatives:
+        if passes(report):
+            return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=label,
+                                  status=ACCEPTED if label == top_label else REPAIRED,
+                                  joint=joint, support=report.support_count, checks=len(rows))
+    held = cfg.unknown_policy == "hold" and any(row[3].status == UNKNOWN for row in rows)
+    return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=NA,
+                          status=HELD if held else REJECTED, joint=0.0,
+                          support=rows[0][3].support_count, checks=len(rows))
 
 
 def tuple_by_rule(line: str, lineno: int) -> Tuple:

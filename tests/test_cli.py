@@ -49,16 +49,21 @@ def test_embed_reproduces_golden_file(runner):
     assert result.stdout_bytes == (GOLDEN / "fixture_b_l1.txt").read_bytes()
 
 
-@pytest.mark.parametrize("option", ["--head", "--relation", "--tail"])
-def test_embed_rejects_a_bad_identifier_as_usage_error(runner, option):
+@pytest.mark.parametrize("option, value, message", [
+    pytest.param("--head", "", "empty", id="--head"),
+    pytest.param("--relation", "", "empty", id="--relation"),
+    pytest.param("--tail", "", "empty", id="--tail"),
+    pytest.param("--relation", "NA", "NA-labeled center", id="--relation-NA"),
+])
+def test_embed_rejects_a_bad_identifier_as_usage_error(runner, option, value, message):
     args = {"--head": "India", "--relation": "C", "--tail": "Gorakhpur"}
-    args[option] = ""
+    args[option] = value
     result = runner.invoke(main, [
         "embed", "--graph", str(DATA / "fixture_b.tsv"), "--l", "1",
         *(part for item in args.items() for part in item),
     ])
     assert result.exit_code == 2
-    assert "empty" in result.stderr
+    assert message in result.stderr
 
 
 def test_embed_rejects_a_radius_below_one(runner):
@@ -151,6 +156,22 @@ def test_bad_config_value_exits_two(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--k", "0", "k must be >= 1"),
+    ("--p-th", "2", "p_th must be in [0, 1]"),
+    ("--slice-size", "0", "must be at least 1"),
+    ("--workers", "0", "must be at least 1"),
+], ids=["k", "p-th", "slice-size", "workers"])
+def test_bad_enhance_value_exits_two(runner, tmp_path, option, value, message):
+    graph = support_graph_file(tmp_path)
+    preds = predictions_file(tmp_path, [PredictionRecord("n1", "h", "t", (("r", 0.9),))])
+    result = runner.invoke(main, [
+        "enhance", "--graph", str(graph), "--predictions", str(preds), option, value,
+    ])
+    assert result.exit_code == 2
+    assert message in result.stderr
+
+
 # every command's knobs, spelled out: adding or removing one changes this test
 _VALIDATION = {"l", "sample_size", "theta", "delta", "seed", "sort_paths"}
 COMMAND_OPTIONS = {
@@ -212,6 +233,11 @@ def test_inject_errors_roundtrip(runner, tmp_path):
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(row["candidates"][0]["relation"] == "b" for row in lines)
     assert all(row["candidates"][0]["p"] == 0.8 for row in lines)
+    # without --out the same records go to stdout
+    result = runner.invoke(main, ["inject-errors", "--predictions", str(preds),
+                                  "--rate", "1.0", "--seed", "3"])
+    assert result.exit_code == 0
+    assert result.stdout == out.read_text()
 
 
 def test_inject_errors_rejects_bad_rate(runner, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, load_graph, save_graph
+from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, graph_store, load_graph, save_graph
 from kgmend.evalkit import read_labeled_facts
 from kgmend.graph_store import parse_tuple_line, read_tuples
 from kgmend.repair import PredictionFormatError, iter_prediction_lines
@@ -202,6 +202,16 @@ def test_readers_accept_crlf_endings(tmp_path, reader, text):
     lf.write_bytes(text.encode())
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
     assert reader(lf) and reader(crlf) == reader(lf)
+
+
+def test_a_crlf_graph_takes_the_one_pass_parse(tmp_path, monkeypatch):
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"a\tr\tb\r\n# comment\r\n\r\nx y\ts\tz\r\nlast\tr\tline")
+    calls = []
+    rule = graph_store.identifier
+    monkeypatch.setattr(graph_store, "identifier", lambda value: calls.append(value) or rule(value))
+    assert read_tuples(path) == [Tuple("a", "r", "b"), Tuple("x y", "s", "z"), Tuple("last", "r", "line")]
+    assert calls == []
 
 
 def test_a_lone_cr_does_not_end_a_graph_line(tmp_path):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmend import (
     GraphStore,
@@ -15,10 +19,14 @@ from kgmend import (
     initial_instance,
     joint_scores,
     predict_link,
+    repair,
     repair_instance,
     repair_tuple,
 )
-from kgmend.repair import parse_record
+from kgmend.repair import UNKNOWN_POLICIES, parse_record
+
+from conftest import LABELS, random_graph
+from oracle import reference_repair_tuple
 
 VCFG = ValidationConfig(l=1, sample_size=4)
 
@@ -193,6 +201,31 @@ def test_invalid_initial_repaired_to_supported_label():
     assert decision.checks <= rcfg().k
 
 
+def test_each_label_is_sampled_and_decided_once(monkeypatch):
+    g = support_graph()
+    g.add_tuple(Tuple("h", "q", "xh"))
+    # "r" alone has a link score, so it leads the joint ranking behind the failed Top-1
+    record = rec("r1", "h", "t", ("wrong", 0.8), ("r", 0.6), ("x", 0.5), ("y", 0.4), ("z", 0.3))
+    calls = []
+    gather, check = repair.gather_evidence, repair.support_from_evidence
+
+    def sampled(g, s, *args):
+        calls.append(("sample", s.relation))
+        return gather(g, s, *args)
+
+    def decided(g, s, *args):
+        calls.append(("decide", s.relation))
+        return check(g, s, *args)
+
+    monkeypatch.setattr(repair, "gather_evidence", sampled)
+    monkeypatch.setattr(repair, "support_from_evidence", decided)
+    decision = repair_tuple(g, record, rcfg(k=5))
+    assert (decision.status, decision.final, decision.checks) == ("Repaired", "r", 5)
+    # Top-1's evidence is reused when joint_scores asks for its link score
+    assert calls == [(step, label) for label in ("wrong", "r", "x", "y", "z")
+                     for step in ("sample", "decide")]
+
+
 def test_top1_na_is_rejected_outright():
     g = support_graph()
     decision = repair_tuple(g, rec("r1", "h", "t", (NA, 0.9), ("r", 0.1)), rcfg())
@@ -217,6 +250,13 @@ def test_unknown_policy_dispatch():
     assert accepted.status == "Accepted" and accepted.final == "w"
     rejected = repair_tuple(g, record, rcfg(unknown_policy="reject"))
     assert rejected.status == "Rejected" and rejected.final == NA
+
+
+def test_an_unknown_alternative_holds_the_record():
+    g = support_graph()
+    g.add_tuple(Tuple("h", "s", "t"))       # contradicts "w"; as "s" it is the record's own fact
+    decision = repair_tuple(g, rec("r1", "h", "t", ("w", 0.8), ("s", 0.6)), rcfg())
+    assert (decision.status, decision.final, decision.checks) == ("Held", NA, 2)
 
 
 def test_invalid_everywhere_rejects_even_under_hold():
@@ -305,3 +345,38 @@ def test_a_re_predicted_committed_fact_still_testifies():
     alone = repair_instance(g, [b], rcfg())
     assert [(d.status, d.support) for d in alone] == [("Accepted", 1)]
     assert repair_instance(g, [a, b], rcfg())[1] == alone[0]
+
+
+# -- the ranking path against the reference walk ------------------------------
+
+_VERTICES = [f"v{i}" for i in range(6)]
+_EDGE = st.tuples(st.sampled_from(_VERTICES), st.sampled_from(LABELS), st.sampled_from(_VERTICES))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(graph_seed=st.integers(0, 2**16),
+       endpoints=st.tuples(st.sampled_from(_VERTICES + ["fresh"]), st.sampled_from(_VERTICES)),
+       candidates=st.lists(st.tuples(st.sampled_from(LABELS + ("cold", NA)),
+                                     st.sampled_from((0.9, 0.6, 0.3, 0.1))), min_size=1, max_size=4),
+       policy=st.sampled_from(UNKNOWN_POLICIES), k=st.integers(1, 4),
+       vcfg=st.builds(ValidationConfig, l=st.integers(1, 2), delta=st.integers(1, 2),
+                      sample_size=st.integers(1, 3), seed=st.integers(0, 3)),
+       context=st.lists(_EDGE, max_size=4), own=st.booleans())
+def test_repair_tuple_matches_the_reference_walk(graph_seed, endpoints, candidates, policy, k, vcfg,
+                                                 context, own):
+    head, tail = endpoints
+    record = rec("x", head, tail, *sorted(candidates, key=lambda c: -c[1]))
+    cfg = RepairConfig(k=k, unknown_policy=policy, validation=vcfg)
+    instance = [Tuple(*edge) for edge in context]
+    if own and record.candidates[0][0] != NA:
+        instance.append(Tuple(head, record.candidates[0][0], tail))
+
+    def decide(repair_fn):
+        # a fresh copy of the graph each, so that neither reads the other's caches
+        g = random_graph(random.Random(graph_seed), max_vertices=6)
+        provisional = frozenset(s for s in instance if s not in g)
+        with g.overlay(instance):
+            return repair_fn(g, record, cfg, provisional)
+
+    got, want = decide(repair_tuple), decide(reference_repair_tuple)
+    assert (got.to_json(), got.checks, got.support) == (want.to_json(), want.checks, want.support)

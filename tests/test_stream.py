@@ -98,6 +98,11 @@ def test_malformed_items_are_counted_and_skipped():
     assert results[0].malformed == 2
 
 
+def test_run_rejects_a_slice_size_below_one():
+    with pytest.raises(ValueError, match="slice_size must be >= 1"):
+        run(head_context_graph(), [rec("x", "h0", "t1", ("r", 0.9))], rcfg(), slice_size=0)
+
+
 @pytest.mark.parametrize("slice_size", [1, 10])
 def test_repeated_record_id_is_malformed(slice_size):
     g = head_context_graph()
@@ -181,7 +186,8 @@ def test_load_label_map(tmp_path):
     ("x\tr\ty\n", "line 1"),
     ("q\tr\nq\ts\n", "line 2"),             # one aux label, two targets
     ("q\tNA\n# note\nq\tr\n", "line 3"),
-], ids=["three-fields", "repeated", "repeated-after-na"])
+    ("a\tb\nx\t#y\n", "line 2"),          # a target that breaks the identifier rule
+], ids=["three-fields", "repeated", "repeated-after-na", "bad-identifier"])
 def test_load_label_map_rejects_bad_lines(tmp_path, text, where):
     path = tmp_path / "map.tsv"
     path.write_text(text)
