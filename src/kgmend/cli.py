@@ -143,10 +143,7 @@ def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_h
         raise click.UsageError("--aux-graph and --label-map must be given together")
     g = _read(load_graph, graph)
     if aux_graph:
-        try:
-            integrate_aux(g, aux_graph, load_label_map(label_map))
-        except _INPUT_ERRORS as exc:
-            raise _usage(exc) from exc
+        _read(lambda path: integrate_aux(g, path, load_label_map(label_map)), aux_graph)
     stream = iter_prediction_lines(predictions)
     log, results = run_stream(g, stream, cfg, slice_size=slice_size)
     if out_decisions:

@@ -9,6 +9,10 @@ would otherwise be counted from both sides). Each sequence carries the center
 label plus the l side labels; the count is the number of distinct walk pairs
 producing it.
 
+The walks step over the adjacency that `extract_pattern`'s BFS recorded for
+the vertices within l - 1 of an endpoint; the tables of walks from a vertex
+are memoised per call, and a one-step table only counts labels.
+
 Two canonicalizations: "sorted" (default, lexicographic sort of the whole
 sequence) and "positional" (head walk reversed, then center, then tail walk,
 which preserves the actual walk layout for witness checks). Embeddings of
@@ -41,29 +45,20 @@ class PathEmbedding:
         return not self.counts
 
 
-def _side_adjacency(p: LocalizedPattern) -> dict[str, list[tuple[str, str]]]:
-    """Undirected adjacency over pattern edges, minus center-endpoint parallels."""
-    h, t = p.center.head, p.center.tail
-    banned = {(h, t), (t, h)}       # endpoint set {h, t}, or the loop at h when h == t
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in p.vertices}
-    for e in p.edges:
-        if (e.head, e.tail) in banned:
-            continue
-        adj[e.head].append((e.relation, e.tail))
-        if e.tail != e.head:
-            adj[e.tail].append((e.relation, e.head))
-    return adj
-
-
 def _walks(adj: dict, memo: dict, v: str, steps: int) -> dict:
     """Label sequence -> number of distinct walks of `steps` edges from v over
-    `adj`, memoised in `memo` by (v, steps)."""
+    `adj`, memoised in `memo` by (v, steps). A one-step table counts the
+    labels of v's steps, so a walk's last vertex needs no adjacency entry."""
     found = memo.get((v, steps))
     if found is None:
+        found = {}
         if steps == 0:
-            found = {(): 1}
+            found[()] = 1
+        elif steps == 1:
+            for label, _ in adj[v]:
+                key = (label,)
+                found[key] = found.get(key, 0) + 1
         else:
-            found = {}
             for label, other in adj[v]:
                 for seq, n in _walks(adj, memo, other, steps - 1).items():
                     key = (label,) + seq
@@ -73,7 +68,8 @@ def _walks(adj: dict, memo: dict, v: str, steps: int) -> dict:
 
 
 def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbedding:
-    """Compute the path embedding of pattern p at walk budget l.
+    """Compute the path embedding of pattern p at walk budget l, over the
+    walk adjacency its BFS recorded.
 
     Requires 1 <= l <= p.radius so every enumerated walk stays inside the
     pattern. A pattern holding only its center edge embeds to the empty
@@ -83,7 +79,7 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
         raise ValueError(f"need 1 <= l <= pattern radius, got l={l}, radius={p.radius}")
     if mode not in MODES:
         raise ValueError(f"unknown canonicalization mode {mode!r}")
-    adj = _side_adjacency(p)
+    adj = p.adjacency
     memo: dict = {}
     center = p.center.relation
     counts: dict = {}

@@ -19,7 +19,7 @@ import gc
 import re
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple
 
 NA = "NA"
 
@@ -191,8 +191,17 @@ class GraphStore:
         for bucket in self._by_relation.values():
             yield from bucket
 
-    def out_edges(self, v: str) -> Iterator[Tuple]:
-        return iter(self._out.get(v, ()))
+    def sides(self, v: str) -> tuple[Collection[Tuple], Collection[Tuple]]:
+        """(out-edges, in-edges) of v: the store's own collections, not copies,
+        so the caller reads them and never mutates them. A loop at v is in both.
+        """
+        return self._out.get(v, ()), self._in.get(v, ())
+
+    def edges_from(self, heads: Iterable[str], tails: Container[str]) -> list[Tuple]:
+        """Edges from a vertex in `heads` to a vertex in `tails`. One call
+        covers many heads, where `sides` takes a call per vertex."""
+        out = self._out
+        return [s for v in heads for s in out.get(v, ()) if s.tail in tails]
 
     def incident(self, v: str) -> Iterator[Tuple]:
         yield from self._out.get(v, ())
@@ -295,26 +304,32 @@ def read_tuples(path) -> list[Tuple]:
     return out
 
 
-def load_graph(path) -> GraphStore:
-    """Read a graph file into a new store.
+def collector_paused(build: Callable[[], GraphStore]) -> GraphStore:
+    """The store `build()` returns, built with the cyclic garbage collector
+    paused; the caller's collector state is restored on return or error.
 
-    The cyclic garbage collector is paused while the store is built, and the
-    caller's collector state is restored on return or error. A load allocates
-    a few objects per line, which would set off hundreds of collections on a
-    large graph, some walking the whole store built so far, and none could
-    free anything: the store holds Tuples of strings in sets and dicts, with
-    no reference cycle.
+    A build allocates a few objects per tuple, which would set off hundreds
+    of collections on a large graph, some walking the whole store built so
+    far, and none could free anything: the store holds Tuples of strings in
+    sets and dicts, with no reference cycle.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
+        return build()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def load_graph(path) -> GraphStore:
+    """Read a graph file into a new store, built with the collector paused."""
+    def build():
         g = GraphStore()
         for s in read_tuples(path):
             g.add_tuple(s)
         return g
-    finally:
-        if enabled:
-            gc.enable()
+    return collector_paused(build)
 
 
 def save_graph(g: GraphStore, path) -> None:

@@ -15,7 +15,8 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .graph_store import GraphFormatError, GraphStore, NA, Tuple, identifier, open_input, read_tuples
+from .graph_store import (GraphFormatError, GraphStore, NA, Tuple, collector_paused, identifier,
+                          open_input, read_tuples)
 from .repair import (
     ACCEPTED,
     HELD,
@@ -75,15 +76,17 @@ def integrate_aux(g: GraphStore, aux_graph_path, label_map: dict[str, str]) -> G
     """Register a relabeled auxiliary graph as a sampling top-up source.
 
     Unmapped labels are dropped; auxiliary entities stay in their own store
-    and are never merged into g.
+    and are never merged into g. The store is built with the collector
+    paused, as `load_graph` builds one.
     """
-    aux = GraphStore()
-    for s in read_tuples(aux_graph_path):
-        target = label_map.get(s.relation)
-        if target is None:
-            continue
-        aux.add_tuple(Tuple(s.head, target, s.tail))
-    g.aux_source = aux
+    def build():
+        aux = GraphStore()
+        for s in read_tuples(aux_graph_path):
+            target = label_map.get(s.relation)
+            if target is not None:
+                aux.add_tuple(Tuple(s.head, target, s.tail))
+        return aux
+    g.aux_source = aux = collector_paused(build)
     return aux
 
 

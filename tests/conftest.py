@@ -38,6 +38,50 @@ def random_center(rng: random.Random, g: GraphStore,
     return Tuple(head, rng.choice(labels), tail)
 
 
+def hub_graph(rng: random.Random, leaves: int, extra: int = 0,
+              labels: tuple[str, ...] = LABELS) -> GraphStore:
+    """A vertex "hub" with one edge to each of `leaves` leaves, most pointing
+    out, and sometimes a loop; then `extra` random edges among the leaves,
+    loops and parallels included."""
+    g = GraphStore()
+    for i in range(leaves):
+        ends = ("hub", f"leaf{i}") if rng.random() < 0.7 else (f"leaf{i}", "hub")
+        g.add_tuple(Tuple(ends[0], rng.choice(labels), ends[1]))
+    if rng.random() < 0.5:
+        g.add_tuple(Tuple("hub", rng.choice(labels), "hub"))
+    for _ in range(extra):
+        g.add_tuple(Tuple(f"leaf{rng.randrange(leaves)}", rng.choice(labels),
+                          f"leaf{rng.randrange(leaves)}"))
+    return g
+
+
+def center_with_parallels(rng: random.Random, g: GraphStore,
+                          labels: tuple[str, ...] = LABELS) -> Tuple:
+    """An existing, hypothetical or head == tail center, each endpoint the
+    highest-degree vertex half the time; half the time g also gains edges
+    parallel to it, in both directions."""
+    vertices = sorted(g.vertices())
+    top = max(vertices, key=g.degree)
+
+    def pick(fresh: bool = False) -> str:
+        return top if rng.random() < 0.5 else rng.choice(vertices + ["w_fresh"] * fresh)
+
+    kind = rng.choice(("existing", "hypothetical", "loop"))
+    if kind == "existing":
+        touching = sorted(s for s in g.all_tuples() if top in (s.head, s.tail))
+        center = rng.choice(touching if touching and rng.random() < 0.5 else sorted(g.all_tuples()))
+    elif kind == "loop":
+        v = pick()
+        center = Tuple(v, rng.choice(labels), v)
+    else:
+        center = Tuple(pick(), rng.choice(labels), pick(fresh=True))
+    if rng.random() < 0.5:
+        for label in rng.sample(labels, rng.randint(1, len(labels))):
+            g.add_tuple(Tuple(center.head, label, center.tail))
+            g.add_tuple(Tuple(center.tail, label, center.head))
+    return center
+
+
 def cache_registrations(g: GraphStore) -> set:
     """(vertex, cache key) pairs in the store's reverse index of cached witnesses."""
     return {(v, key) for v, held in g._cache_keys.items()

@@ -1,12 +1,13 @@
 """Brute-force reference implementations for tiny inputs, used only by tests.
 
-Everything here trades speed for literalness: walks are enumerated one edge
-at a time, support subgraphs by explicit subset enumeration plus backtracking
+Everything here trades speed for literalness: a pattern's walk adjacency is
+read off its whole edge set, walks are enumerated one edge at a time,
+support subgraphs by explicit subset enumeration plus backtracking
 monomorphism search, similarity by exhaustive matching search, the
 escalation scan by one pairwise `sim` per occurrence, a record's repair by
 an explicit sort of its decided labels, a graph file by the identifier rule
-on every cell. Hard input caps keep
-runtimes sane; none of this is reachable from the CLI.
+on every cell. Hard input caps keep runtimes sane; none of this is
+reachable from the CLI.
 """
 
 from __future__ import annotations
@@ -56,14 +57,32 @@ def _pattern_adjacency(p: LocalizedPattern):
     return adj
 
 
-def enumerate_central_walks(p: LocalizedPattern, l: int, mode: str = "sorted") -> dict:
+def side_adjacency(p: LocalizedPattern) -> dict[str, list[tuple[str, str]]]:
+    """Undirected adjacency over pattern edges, minus center-endpoint parallels:
+    the reference for `LocalizedPattern.adjacency`, which lists the same steps
+    for the vertices within l - 1 of an endpoint."""
+    h, t = p.center.head, p.center.tail
+    banned = {(h, t), (t, h)}       # endpoint set {h, t}, or the loop at h when h == t
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in p.vertices}
+    for e in p.edges:
+        if (e.head, e.tail) in banned:
+            continue
+        adj[e.head].append((e.relation, e.tail))
+        if e.tail != e.head:
+            adj[e.tail].append((e.relation, e.head))
+    return adj
+
+
+def enumerate_central_walks(p: LocalizedPattern, l: int, mode: str = "sorted",
+                            max_vertices: int = MAX_WALK_VERTICES) -> dict:
     """Exhaustively enumerate walk pairs through the center; returns the multiset.
 
     Ground truth for traverse_r: same exclusion rule, same canonicalization,
-    one count per distinct (head walk, tail walk) pair.
+    one count per distinct (head walk, tail walk) pair. A caller may raise
+    the vertex cap for a pattern whose walks are few, such as a star's.
     """
-    if len(p.vertices) > MAX_WALK_VERTICES:
-        raise ValueError(f"oracle caps patterns at {MAX_WALK_VERTICES} vertices")
+    if len(p.vertices) > max_vertices:
+        raise ValueError(f"oracle caps patterns at {max_vertices} vertices")
     if not 1 <= l <= MAX_WALK_RADIUS:
         raise ValueError(f"oracle caps l at {MAX_WALK_RADIUS}")
     if l > p.radius:

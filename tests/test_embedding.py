@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kgmend.embedding as embedding_module
 from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
-from kgmend.embedding import PathEmbedding, format_embedding
+from kgmend.embedding import MODES, PathEmbedding, format_embedding
+
+from conftest import center_with_parallels, hub_graph
+from oracle import enumerate_central_walks
 
 CENTER_B = Tuple("India", "C", "Gorakhpur")
 
@@ -72,6 +80,41 @@ def test_antiparallel_edges_are_distinct_steps():
     g.add_tuple(Tuple("x", "q", "a"))
     e = embed(g, Tuple("a", "r", "b"), 1)
     assert dict(e.counts) == {("p", "r"): 1, ("q", "r"): 1}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), leaves=st.integers(1, 40), l=st.integers(1, 3))
+def test_hub_patterns_agree_with_the_walk_oracle(seed, leaves, l):
+    rng = random.Random(seed)
+    g = hub_graph(rng, leaves, extra=rng.randint(0, leaves // 4))
+    center = center_with_parallels(rng, g)
+    p = extract_pattern(g, center, l)
+    for mode in MODES:
+        assert dict(traverse_r(p, l, mode).counts) == \
+            enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
+
+
+def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
+    """At l = 1 a hub's one-step table counts its labels; it makes no call
+    per leaf."""
+    calls = []
+    walks = embedding_module._walks
+
+    def counted(adj, memo, v, steps):
+        calls.append((v, steps))
+        return walks(adj, memo, v, steps)
+
+    monkeypatch.setattr(embedding_module, "_walks", counted)
+    made = {}
+    for d in (10, 1_000):
+        g = GraphStore()
+        for i in range(d):
+            g.add_tuple(Tuple("hub", "r", f"leaf{i}"))
+        calls.clear()
+        e = traverse_r(extract_pattern(g, Tuple("hub", "r", "leaf0"), 1), 1)
+        assert dict(e.counts) == {("r", "r"): d - 1}
+        made[d] = len(calls)
+    assert made[10] == made[1_000]
 
 
 def test_radius_must_fit_pattern(fixture_b):

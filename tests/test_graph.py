@@ -16,7 +16,7 @@ from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, graph_stor
 from kgmend.evalkit import read_labeled_facts
 from kgmend.graph_store import parse_tuple_line, read_tuples
 from kgmend.repair import PredictionFormatError, iter_prediction_lines
-from kgmend.stream import load_label_map
+from kgmend.stream import integrate_aux, load_label_map
 
 from conftest import cache_registrations
 from oracle import read_tuples_by_rule, tuple_by_rule
@@ -339,6 +339,42 @@ def test_load_graph_leaves_the_collector_as_it_found_it(tmp_path, collector, ena
     assert gc.isenabled() == enabled
 
 
+def _aux_files(tmp_path, graph_lines):
+    graph, label_map = tmp_path / "aux.tsv", tmp_path / "map.tsv"
+    graph.write_text("".join(graph_lines))
+    label_map.write_text("r0\tq0\nr1\tq1\nr2\tNA\n")
+    return graph, load_label_map(label_map)
+
+
+def test_integrate_aux_sets_off_no_collection(tmp_path, collector):
+    path, label_map = _aux_files(
+        tmp_path, [f"e{i}\tr{i % 7}\te{(i * 31) % 20_000}\n" for i in range(20_000)])
+    gc.enable()
+    gc.collect()
+    collector.clear()
+    aux = integrate_aux(GraphStore(), path, label_map)
+    assert collector == [] and aux.relations() == ["q0", "q1"]
+    assert len(aux) == sum(i % 7 < 2 for i in range(20_000))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad"])
+def test_integrate_aux_leaves_the_collector_as_it_found_it(tmp_path, collector, enabled, bad):
+    lines = [f"e{i}\tr0\te{i + 1}\n" for i in range(1_000)]
+    if bad:
+        lines[500] = "e\tr0\n"
+    path, label_map = _aux_files(tmp_path, lines)
+    (gc.enable if enabled else gc.disable)()
+    g = GraphStore()
+    if bad:
+        with pytest.raises(GraphFormatError, match="^line 501: "):
+            integrate_aux(g, path, label_map)
+        assert g.aux_source is None
+    else:
+        assert len(integrate_aux(g, path, label_map)) == 1_000 and g.aux_source is not None
+    assert gc.isenabled() == enabled
+
+
 # -- the store against a plain set of Tuples ----------------------------------
 
 MODEL_VERTICES = ("a", "b", "c")
@@ -362,12 +398,16 @@ def assert_store_matches(g: GraphStore, model: set) -> None:
         assert all(s is stored[s] for s in found)      # the stored object, not a copy
 
     for v in MODEL_VERTICES:
-        same(g.out_edges(v), {s for s in model if s.head == v})
+        out, into = g.sides(v)
+        same(out, {s for s in model if s.head == v})
+        same(into, {s for s in model if s.tail == v})
         same(g.incident(v), {s for s in model if v in (s.head, s.tail)})
         assert g.degree(v) == sum((s.head == v) + (s.tail == v) for s in model)
         assert (v in set(g.vertices())) == any(v in (s.head, s.tail) for s in model)
     for u, v in itertools.product(MODEL_VERTICES, repeat=2):
         same(g.edges_between(u, v), {s for s in model if {s.head, s.tail} == {u, v}})
+    for heads, tails in itertools.product(itertools.combinations(MODEL_VERTICES, 2), repeat=2):
+        same(g.edges_from(heads, tails), {s for s in model if s.head in heads and s.tail in tails})
     assert g.relations() == sorted({s.relation for s in model})
     for r in MODEL_LABELS:
         same(g.tuples_with_relation(r), {s for s in model if s.relation == r})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from kgmend import GraphStore, Tuple, extract_pattern
 
-from conftest import random_center, random_graph
-from oracle import undirected_dist
+from conftest import center_with_parallels, hub_graph, random_center, random_graph
+from oracle import side_adjacency, undirected_dist
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -133,3 +134,21 @@ def test_radius_monotone(seed, l):
     larger = extract_pattern(g, center, l + 1)
     assert smaller.vertices <= larger.vertices
     assert smaller.edges <= larger.edges
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), star=st.booleans(), l=st.integers(1, 3))
+def test_pattern_adjacency_matches_the_reference(seed, star, l):
+    """The BFS's walk adjacency holds, for each vertex within l - 1 of an
+    endpoint and no other, the steps the pattern's edges give it."""
+    rng = random.Random(seed)
+    if star:
+        g = hub_graph(rng, rng.randint(50, 300))
+    else:
+        g = random_graph(rng, max_vertices=9, max_edges=16)
+    center = center_with_parallels(rng, g)
+    p = extract_pattern(g, center, l)
+    reference = side_adjacency(p)
+    assert set(p.adjacency) == _ball_oracle(g, center, l - 1)
+    for v, steps in p.adjacency.items():
+        assert Counter(steps) == Counter(reference[v]), v
