@@ -195,7 +195,7 @@ def embed(graph, head, relation, tail, vcfg):
         raise _usage(exc) from exc
     g = _read(load_graph, graph)
     try:
-        emb = candidate_embedding(g, center, vcfg)
+        _, emb = candidate_embedding(g, center, vcfg)
     except ValueError as exc:
         raise _usage(exc) from exc
     click.echo(format_embedding(emb), nl=False)

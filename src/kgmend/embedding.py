@@ -11,7 +11,9 @@ producing it.
 
 The walks step over the adjacency that `extract_pattern`'s BFS recorded for
 the vertices within l - 1 of an endpoint; the tables of walks from a vertex
-are memoised per call, and a one-step table only counts labels.
+are memoised on the pattern, and a one-step table only counts labels. The
+walks never read the center label, so a pattern relabeled with another
+center label reuses them.
 
 Two canonicalizations: "sorted" (default, lexicographic sort of the whole
 sequence) and "positional" (head walk reversed, then center, then tail walk,
@@ -79,8 +81,7 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
         raise ValueError(f"need 1 <= l <= pattern radius, got l={l}, radius={p.radius}")
     if mode not in MODES:
         raise ValueError(f"unknown canonicalization mode {mode!r}")
-    adj = p.adjacency
-    memo: dict = {}
+    adj, memo = p.adjacency, p.walks
     center = p.center.relation
     counts: dict = {}
     for a in range(l + 1):
@@ -108,12 +109,22 @@ def sim(m1: PathEmbedding, m2: PathEmbedding) -> float:
     multiset size, in [0, 1].
 
     Zero when either embedding is empty (the cold-start convention: no side
-    paths means no evidence).
+    paths means no evidence). One pass over the smaller counts; the sums are
+    integers, so the order of the pass cannot change the score.
     """
-    _check_comparable(m1, m2)
-    if m1.is_empty() or m2.is_empty():
+    if m1.center_label != m2.center_label or m1.radius != m2.radius or m1.mode != m2.mode:
+        _check_comparable(m1, m2)
+    small, large = m1.counts, m2.counts
+    if not small or not large:
         return 0.0
-    inter = sum(min(n, m2.counts.get(seq, 0)) for seq, n in m1.counts.items())
+    if len(small) > len(large):
+        small, large = large, small
+    get = large.get
+    inter = 0
+    for seq, n in small.items():
+        other = get(seq)
+        if other is not None:
+            inter += n if n < other else other
     return inter / min(m1.size, m2.size)
 
 

@@ -5,10 +5,10 @@ else, and all three hold the same stored Tuple objects: every query returns
 those objects and builds none. Degrees, vertices and the edge count are
 derived from the indexes when asked for. Beside them sit three read caches:
 each label's sorted occurrences, the path embeddings of stored witness
-patterns with, for every vertex, the cached patterns that hold it, and, until
-the next write, the scan's posting indexes (built by `validation`). Set
-semantics: the same tuple is never stored twice, but parallel edges with
-different labels between the same endpoints are fine.
+patterns with, for every vertex, the cached embeddings whose walks step from
+it, and, until the next write, the scan's posting indexes (built by
+`validation`). Set semantics: the same tuple is never stored twice, but
+parallel edges with different labels between the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
 """
@@ -49,11 +49,12 @@ class GraphStore:
     the lazily rebuilt caches, which are deterministic.
 
     A cached witness embedding stays valid until an edge is added or removed
-    at one of its pattern's vertices. A pattern holds its center edge, so every
-    vertex within l - 1 of either center endpoint is in it, and any edge that
-    can change its ball or the edges among its vertices has an endpoint there.
-    A mutation of (u, r, v) therefore evicts exactly the entries registered
-    under u or v, through `cache_embedding`.
+    at a vertex within l - 1 of a center endpoint, the vertices its walks step
+    from. Every walk step leaves such a vertex, so an edge with neither
+    endpoint there is never walked, and it cannot bring a vertex within
+    l - 1 either: a path that short through it would reach one of its
+    endpoints sooner. A mutation of (u, r, v) therefore evicts exactly the
+    entries registered under u or v, through `cache_embedding`.
 
     The posting indexes live until the next write: any mutation drops them all.
     """
@@ -69,9 +70,9 @@ class GraphStore:
         self.embedding_cache: dict = {}
         # (relation, l, mode) -> validation's posting index; dropped on any write
         self.postings: dict = {}
-        # cache key -> its pattern's vertices, and vertex -> the cache key, or the
-        # set of keys, whose pattern holds it. Most vertices lie in one cached
-        # pattern, and a bare key spares them a set (216 bytes each).
+        # cache key -> the vertices its walks step from, and vertex -> the cache
+        # key, or the set of keys, registered under it. Most vertices hold one
+        # key, and a bare key spares them a set (216 bytes each).
         self._cached_under: dict = {}
         self._cache_keys: dict = {}
         self.aux_source: "GraphStore | None" = None
@@ -128,11 +129,11 @@ class GraphStore:
                 elif keys is not None:      # w held key alone; None is v itself
                     del self._cache_keys[w]
 
-    def cache_embedding(self, key, embedding, vertices: frozenset[str]) -> None:
-        """Cache a witness embedding whose pattern spans `vertices`; `key` must
-        not be cached already."""
+    def cache_embedding(self, key, embedding, vertices: Iterable[str]) -> None:
+        """Cache a witness embedding that reads only the edges at `vertices`
+        (a pattern's adjacency keys); `key` must not be cached already."""
         self.embedding_cache[key] = embedding
-        self._cached_under[key] = tuple(vertices)      # smaller than the frozenset
+        self._cached_under[key] = vertices = tuple(vertices)
         index = self._cache_keys
         for v in vertices:
             held = index.get(v)

@@ -2,47 +2,61 @@
 
 The pattern keeps every vertex within l undirected steps of the head OR of
 the tail, the only reading consistent with walk enumeration expanding
-independently from each endpoint, and every edge among those vertices. One
-BFS seeded at both endpoints finds both: it keeps every edge at each vertex
-it expands, and a pass over the rim adds the edges between two vertices at
-distance l. The center may be hypothetical (a candidate not yet in the
-graph): its edge is always part of the pattern, so a fresh entity pair still
-yields the minimal two-vertex pattern.
+independently from each endpoint, and every edge among those vertices. The
+center may be hypothetical (a candidate not yet in the graph): its edge is
+always part of the pattern, so a fresh entity pair still yields the minimal
+two-vertex pattern.
 
-The same BFS records the walk adjacency: the steps out of each vertex it
-expands, the vertices within l - 1 of an endpoint. A walk of at most l steps
-from an endpoint leaves no other vertex, so the rim needs no entry, and
-`traverse_r` walks this adjacency as it is.
+One BFS seeded at both endpoints expands the vertices within l - 1 of an
+endpoint and records their walk adjacency, the steps out of each. A walk of
+at most l steps from an endpoint leaves no other vertex, so that is all
+`traverse_r` reads, and the BFS builds nothing else. The ball is the
+expanded vertices and their step targets, and its edges are read off the
+store when first asked for.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph_store import GraphStore, NA, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizedPattern:
-    """The l-ball around `center`, plus its walk adjacency.
+    """The l-ball around `center`, held as its walk adjacency.
 
     `adjacency[v]` lists a `(label, other end)` step for every edge at v,
-    once for a loop, for each v within l - 1 of an endpoint, and nothing for
-    the rim. Edges joining the two center endpoints are never steps (when
-    head == tail, the loops there), so parallels of the center are not
-    counted from both sides. It derives from the other fields and takes no
-    part in equality.
+    once for a loop, for each v within l - 1 of an endpoint (the endpoints
+    included), and nothing for the rim. Edges joining the two center
+    endpoints are never steps (when head == tail, the loops there), so
+    parallels of the center are not counted from both sides, and the
+    adjacency is the same for every center label over the same endpoints.
+    `walks` memoises `traverse_r`'s walk tables, which depend on the
+    adjacency alone, so `dataclasses.replace(p, center=...)` keeps both.
+
+    `vertices` and `edges` are derived when first read; `edges` reads the
+    induced edges off `store`, so read it before the store's next write.
+    Patterns compare by identity.
     """
     center: Tuple
     radius: int
-    vertices: frozenset[str]
-    edges: frozenset[Tuple]
-    adjacency: dict[str, list[tuple[str, str]]] = field(compare=False, repr=False)
+    adjacency: dict[str, list[tuple[str, str]]] = field(repr=False)
+    store: GraphStore = field(repr=False)
+    walks: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        assert self.center.head in self.vertices and self.center.tail in self.vertices
-        assert self.center in self.edges
+    @cached_property
+    def vertices(self) -> frozenset[str]:
+        """The l-ball: the expanded vertices and the ends of their steps."""
+        adj = self.adjacency
+        return frozenset(adj).union(y for steps in adj.values() for _, y in steps)
+
+    @cached_property
+    def edges(self) -> frozenset[Tuple]:
+        """The store's edges among `vertices`, plus the center."""
+        vertices = self.vertices
+        return frozenset(self.store.edges_from(vertices, vertices)).union((self.center,))
 
 
 def extract_pattern(g: GraphStore, center: Tuple, l: int) -> LocalizedPattern:
@@ -52,45 +66,21 @@ def extract_pattern(g: GraphStore, center: Tuple, l: int) -> LocalizedPattern:
     if center.relation == NA:
         raise ValueError("cannot build a pattern around an NA-labeled center")
     h, t = center.head, center.tail
-    # the center edge joins two depth-0 vertices, so it shortens no distance
-    depth = dict.fromkeys((h, t), 0)
-    edges = {center}
     adjacency: dict[str, list[tuple[str, str]]] = {}
-    queue = deque(depth)
-    while queue and depth[queue[0]] < l:
-        x = queue.popleft()
-        d = depth[x] + 1
-        # the far endpoint, when x is one: edges to it are never steps
-        banned = t if x == h else h if x == t else None
-        steps = adjacency[x] = []
-        out, into = g.sides(x)
-        for s in out:
-            edges.add(s)
-            y = s.tail
-            if y != banned:
-                steps.append((s.relation, y))
-            if y not in depth:
-                depth[y] = d
-                queue.append(y)
-        for s in into:
-            y = s.head
-            if y == x:              # a loop, already stepped from `out`
-                continue
-            edges.add(s)
-            if y != banned:
-                steps.append((s.relation, y))
-            if y not in depth:
-                depth[y] = d
-                queue.append(y)
-    # the queue now holds the depth-l rim: add the edges joining two rim vertices
-    edges.update(g.edges_from(queue, depth))
-    return LocalizedPattern(
-        center=center,
-        radius=l,
-        vertices=frozenset(depth),
-        edges=frozenset(edges),
-        adjacency=adjacency,
-    )
+    # the center edge joins two depth-0 vertices, so it shortens no distance
+    frontier = dict.fromkeys((h, t))
+    for depth in range(l):
+        for x in frontier:
+            # the far endpoint, when x is one: edges to it are never steps
+            banned = t if x == h else h if x == t else None
+            out, into = g.sides(x)
+            steps = adjacency[x] = [(s.relation, s.tail) for s in out if s.tail != banned]
+            # a loop at x came out of `out` already
+            steps += [(s.relation, s.head) for s in into if s.head != x and s.head != banned]
+        if depth + 1 < l:
+            frontier = dict.fromkeys(y for x in frontier for _, y in adjacency[x]
+                                     if y not in adjacency)
+    return LocalizedPattern(center=center, radius=l, adjacency=adjacency, store=g)
 
 
 def dump_pattern(p: LocalizedPattern) -> str:

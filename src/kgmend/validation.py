@@ -8,6 +8,10 @@ sequence -> occurrence positions, kept on the GraphStore until its next
 write, since a witness must share a sequence with the candidate. With no
 support, committed edges around the candidate's endpoints decide between
 Invalid and Unknown.
+
+A check reads a pattern's walk adjacency and nothing else of it. A record's
+labels share one candidate pattern, relabeled per label, and a cached
+witness embedding is registered only under the vertices its walks step from.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
 from .graph_store import GraphStore, NA, Tuple
-from .patterns import extract_pattern
+from .patterns import LocalizedPattern, extract_pattern
 
 VALID = "Valid"
 INVALID = "Invalid"
@@ -102,21 +106,35 @@ def sample_centers(
     return chosen
 
 
-def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig) -> PathEmbedding:
-    """Embedding of the candidate's own pattern, built over g plus the candidate."""
-    pattern = extract_pattern(g, s, cfg.l)
-    return traverse_r(pattern, cfg.l, cfg.mode)
+def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig,
+                        like: LocalizedPattern | None = None
+                        ) -> tuple[LocalizedPattern, PathEmbedding]:
+    """The candidate's own pattern, built over g plus the candidate, and its
+    embedding.
+
+    `like`, the pattern of another label over the same endpoints and the same
+    snapshot, is relabeled, not rebuilt: walks never step over an edge
+    between the endpoints, so its adjacency and walk tables hold for s too.
+    """
+    if like is None:
+        pattern = extract_pattern(g, s, cfg.l)
+    else:
+        assert like.store is g and like.radius == cfg.l
+        assert (like.center.head, like.center.tail) == (s.head, s.tail)
+        pattern = replace(like, center=s)
+    return pattern, traverse_r(pattern, cfg.l, cfg.mode)
 
 
 def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) -> PathEmbedding:
     """Embedding of a stored occurrence, cached on its store until an edge is
-    added or removed at one of its pattern's vertices."""
+    added or removed at a vertex its walks step from (within l - 1 of an
+    endpoint). No other edge is walked, nor can it bring a vertex that close."""
     key = (center, cfg.l, cfg.mode)
     cached = source.embedding_cache.get(key)
     if cached is None:
         pattern = extract_pattern(source, center, cfg.l)
         cached = traverse_r(pattern, cfg.l, cfg.mode)
-        source.cache_embedding(key, cached, pattern.vertices)
+        source.cache_embedding(key, cached, pattern.adjacency)
     return cached
 
 
@@ -126,26 +144,31 @@ class Evidence:
     candidate: PathEmbedding
     centers: list            # (center tuple, from_aux), sample order
     sims: list
+    pattern: LocalizedPattern | None = None     # the candidate's, for the record's other labels
 
     @property
     def link(self) -> float:
-        """The linkage prediction: mean sampled similarity, 0.0 on an empty sample."""
-        if not self.sims:
+        """The linkage prediction: mean sampled similarity, 0.0 on an empty
+        sample or when the candidate's pattern has no side paths."""
+        if not self.sims or self.candidate.is_empty():
             return 0.0
         return sum(self.sims) / len(self.sims)
 
 
 def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
-                    ignore: frozenset = frozenset()) -> Evidence:
+                    ignore: frozenset = frozenset(),
+                    like: LocalizedPattern | None = None) -> Evidence:
+    """Score s's pattern against sampled same-label patterns; `like` as in
+    `candidate_embedding`."""
     # provisional instance tuples shape patterns but may not testify as witnesses
-    cand = candidate_embedding(g, s, cfg)
+    pattern, cand = candidate_embedding(g, s, cfg, like)
     centers = [pair for pair in sample_centers(g, s.relation, cfg, exclude=s)
                if pair[0] not in ignore]
     sims = []
     for center, from_aux in centers:
         source = g.aux_source if from_aux else g
         sims.append(sim(cand, witness_embedding(source, center, cfg)))
-    return Evidence(candidate=cand, centers=centers, sims=sims)
+    return Evidence(candidate=cand, centers=centers, sims=sims, pattern=pattern)
 
 
 @dataclass

@@ -3,10 +3,10 @@
 Everything here trades speed for literalness: a pattern's walk adjacency is
 read off its whole edge set, walks are enumerated one edge at a time,
 support subgraphs by explicit subset enumeration plus backtracking
-monomorphism search, similarity by exhaustive matching search, the
-escalation scan by one pairwise `sim` per occurrence, a record's repair by
-an explicit sort of its decided labels, a graph file by the identifier rule
-on every cell. Hard input caps keep runtimes sane; none of this is
+monomorphism search, similarity by exhaustive matching search and by its
+plain formula, the escalation scan by one pairwise `sim` per occurrence, a
+record's repair by an explicit sort of its decided labels, a graph file by
+the identifier rule on every cell. Hard input caps keep runtimes sane; none of this is
 reachable from the CLI.
 """
 
@@ -268,6 +268,22 @@ def exact_sim(p1: LocalizedPattern, p2: LocalizedPattern) -> float:
     """Matched-pair count of the best center-pinned matching over min pattern size."""
     witness = best_common_match(p1, p2)
     return witness.pairs / min(len(p1.vertices), len(p2.vertices))
+
+
+def reference_sim(m1, m2) -> float:
+    """`sim` as its formula reads: the sum of per-sequence minima over the
+    smaller multiset size, 0.0 when either side is empty, and a ValueError
+    naming the first field in which the two embeddings are not comparable."""
+    if m1.center_label != m2.center_label:
+        raise ValueError(f"center labels differ: {m1.center_label!r} vs {m2.center_label!r}")
+    if m1.radius != m2.radius:
+        raise ValueError(f"radii differ: {m1.radius} vs {m2.radius}")
+    if m1.mode != m2.mode:
+        raise ValueError(f"canonicalization modes differ: {m1.mode!r} vs {m2.mode!r}")
+    if not m1.counts or not m2.counts:
+        return 0.0
+    common = sum(min(n, m2.counts.get(seq, 0)) for seq, n in m1.counts.items())
+    return common / min(sum(m1.counts.values()), sum(m2.counts.values()))
 
 
 def undirected_dist(g: GraphStore, u: str, v: str, cap: int) -> int | None:

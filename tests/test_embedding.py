@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
 from kgmend.embedding import MODES, PathEmbedding, format_embedding
 
 from conftest import center_with_parallels, hub_graph
-from oracle import enumerate_central_walks
+from oracle import enumerate_central_walks, reference_sim
 
 CENTER_B = Tuple("India", "C", "Gorakhpur")
 
@@ -162,6 +163,36 @@ def test_sim_rejects_incomparable_embeddings():
         sim(m, _emb({("r", "a"): 1}, radius=2))
     with pytest.raises(ValueError):
         sim(m, _emb({("r", "a"): 1}, mode="positional"))
+
+
+_COUNTS = st.dictionaries(st.tuples(st.sampled_from("rabc"), st.sampled_from("abc")),
+                          st.integers(1, 6), max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c1=_COUNTS, c2=_COUNTS)
+def test_sim_equals_its_plain_formula(c1, c2):
+    """The one-pass `sim` gives the reference's float exactly, is symmetric,
+    and is 0.0 when either side is empty."""
+    m1, m2 = _emb(c1), _emb(c2)
+    value = sim(m1, m2)
+    assert value == reference_sim(m1, m2) == sim(m2, m1)
+    if not c1 or not c2:
+        assert value == 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(c1=_COUNTS, c2=_COUNTS, center=st.sampled_from("rs"), radius=st.integers(1, 2),
+       mode=st.sampled_from(MODES))
+def test_sim_names_the_first_mismatch_as_the_reference_does(c1, c2, center, radius, mode):
+    m1, m2 = _emb(c1), _emb(c2, center=center, radius=radius, mode=mode)
+    if (center, radius, mode) == ("r", 1, "sorted"):
+        assert sim(m1, m2) == reference_sim(m1, m2)
+        return
+    with pytest.raises(ValueError) as want:
+        reference_sim(m1, m2)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        sim(m1, m2)
 
 
 def test_hand_built_pair_similarity():

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kgmend import GraphStore, Tuple, extract_pattern
+from kgmend import GraphStore, Tuple, ValidationConfig, classify, extract_pattern
 
-from conftest import center_with_parallels, hub_graph, random_center, random_graph
+from conftest import LABELS, center_with_parallels, hub_graph, random_center, random_graph
 from oracle import side_adjacency, undirected_dist
+from test_acceptance import _ball_edges_oracle
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -152,3 +153,45 @@ def test_pattern_adjacency_matches_the_reference(seed, star, l):
     assert set(p.adjacency) == _ball_oracle(g, center, l - 1)
     for v, steps in p.adjacency.items():
         assert Counter(steps) == Counter(reference[v]), v
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(("existing", "loop", "hypothetical")),
+       l=st.integers(1, 3))
+def test_lazy_fields_equal_the_ball_and_its_induced_edges(seed, kind, l):
+    """`vertices` (the expanded vertices and their step targets) and `edges`
+    (read off the store when first asked for) are criterion 3's reference,
+    on stars, at head == tail and around a candidate not in the graph."""
+    rng = random.Random(seed)
+    g = hub_graph(rng, rng.randint(50, 300), extra=rng.randint(0, 20))
+    leaf = f"leaf{rng.randrange(50)}"
+    end = rng.choice(("hub", leaf))
+    if kind == "existing":
+        center = rng.choice(sorted(g.all_tuples()))
+    elif kind == "loop":
+        center = Tuple(end, rng.choice(LABELS), end)
+    else:
+        center = Tuple(end, rng.choice(LABELS), rng.choice(("fresh", leaf)))
+        if center in g:
+            g.remove_tuple(center)
+    p = extract_pattern(g, center, l)
+    assert (p.vertices, p.edges) == _ball_edges_oracle(g, center, l)
+
+
+def test_a_label_check_reads_no_induced_edges(monkeypatch):
+    """`classify` reads the walk adjacency only: on a hub graph it never
+    asks the store for the edges among a pattern's vertices."""
+    rng = random.Random(7)
+    g = hub_graph(rng, 300, extra=30)
+    calls = []
+    edges_from = GraphStore.edges_from
+
+    def counted(self, heads, tails):
+        calls.append(1)
+        return edges_from(self, heads, tails)
+
+    monkeypatch.setattr(GraphStore, "edges_from", counted)
+    label = next(s.relation for s in g.all_tuples() if s.head == "hub")
+    report = classify(g, Tuple("hub", label, "fresh"), ValidationConfig(delta=3))
+    assert report.support_count > 0 and g.embedding_cache
+    assert calls == []

@@ -22,6 +22,7 @@ from kgmend import (
     repair,
     repair_instance,
     repair_tuple,
+    validation,
 )
 from kgmend.repair import UNKNOWN_POLICIES, parse_record
 
@@ -224,6 +225,25 @@ def test_each_label_is_sampled_and_decided_once(monkeypatch):
     # Top-1's evidence is reused when joint_scores asks for its link score
     assert calls == [(step, label) for label in ("wrong", "r", "x", "y", "z")
                      for step in ("sample", "decide")]
+
+
+def test_a_record_builds_one_candidate_pattern(monkeypatch):
+    """The later labels relabel Top-1's candidate pattern: one BFS around
+    the record's endpoints, however many labels are checked."""
+    g = support_graph()
+    g.add_tuple(Tuple("h", "q", "xh"))
+    record = rec("r1", "h", "t", ("wrong", 0.8), ("r", 0.6), ("x", 0.5), ("y", 0.4))
+    built = []
+    extract = validation.extract_pattern
+
+    def counted(g, center, l):
+        built.append(center)
+        return extract(g, center, l)
+
+    monkeypatch.setattr(validation, "extract_pattern", counted)
+    decision = repair_tuple(g, record, rcfg(k=4))
+    assert (decision.status, decision.final, decision.checks) == ("Repaired", "r", 4)
+    assert [c for c in built if (c.head, c.tail) == ("h", "t")] == [Tuple("h", "wrong", "t")]
 
 
 def test_top1_na_is_rejected_outright():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -37,7 +38,7 @@ from kgmend.validation import (
     witness_embedding,
 )
 
-from conftest import cache_registrations
+from conftest import LABELS, cache_registrations, center_with_parallels, random_graph
 from oracle import pairwise_support_from_evidence
 
 
@@ -202,7 +203,7 @@ def test_scan_window_counts_only_eligible_occurrences(decoys, found, ignore_self
     cfg = ValidationConfig(l=1, scan_cap=5)
     s, twin = Tuple("a_self", "born_in", "a_self_c"), Tuple("z_twin", "born_in", "z_twin_c")
     ignore = frozenset([Tuple("b_ignored", "born_in", "b_ignored_c")] + [s] * ignore_self)
-    cand = candidate_embedding(g, s, cfg)
+    _, cand = candidate_embedding(g, s, cfg)
     centers = [(Tuple(f"c_sampled{i}", "born_in", f"c_sampled{i}_c"), False) for i in range(2)]
     ev = Evidence(candidate=cand, centers=centers,
                   sims=[sim(cand, witness_embedding(g, c, cfg)) for c, _ in centers])
@@ -217,7 +218,7 @@ def test_postings_are_rebuilt_when_a_hole_is_read_and_dropped_on_any_write():
     g.add_tuple(Tuple("p9", "works_in", "p9_w"))
     s = Tuple("p9", "born_in", "p9_c")
     cfg = ValidationConfig(l=1, delta=3)
-    ev = Evidence(candidate=candidate_embedding(g, s, cfg), centers=[], sims=[])
+    ev = Evidence(candidate=candidate_embedding(g, s, cfg)[1], centers=[], sims=[])
     twins = [Tuple(head, "born_in", f"{head}_c") for head in ("a_self", "b_ignored", "z_twin")]
 
     def witnesses(ignore=frozenset(), **changes) -> list:
@@ -347,15 +348,16 @@ def _read_witnesses(g: GraphStore, cfgs: list[ValidationConfig]) -> None:
 
 def _assert_cache_coherent(g: GraphStore) -> None:
     """Every cached entry is what a fresh build gives now, and the reverse
-    index registers each live key under its pattern's vertices and nothing else."""
+    index registers each live key under the vertices its walks step from (its
+    pattern's adjacency keys, those within l - 1 of an endpoint) and nothing else."""
     assert set(g._cached_under) == set(g.embedding_cache)
     expected = set()
     for key, cached in g.embedding_cache.items():
         center, l, mode = key
         pattern = extract_pattern(g, center, l)
         assert cached == traverse_r(pattern, l, mode)
-        assert sorted(g._cached_under[key]) == sorted(pattern.vertices)
-        expected |= {(v, key) for v in pattern.vertices}
+        assert sorted(g._cached_under[key]) == sorted(pattern.adjacency)
+        expected |= {(v, key) for v in pattern.adjacency}
     assert cache_registrations(g) == expected
     assert all(g._cache_keys.values())
     for (label, l, mode), index in g.postings.items():
@@ -375,7 +377,7 @@ def _assert_cache_coherent(g: GraphStore) -> None:
 @settings(max_examples=60, deadline=None)
 @given(initial=st.lists(_EDGE, max_size=12), ops=_OPS)
 def test_cached_witnesses_equal_fresh_builds_after_any_mutation(mode, initial, ops):
-    cfgs = [ValidationConfig(l=l, mode=mode) for l in (1, 2)]
+    cfgs = [ValidationConfig(l=l, mode=mode) for l in (1, 2, 3)]
     g = GraphStore()
     for s in initial:
         g.add_tuple(s)
@@ -395,6 +397,47 @@ def test_cached_witnesses_equal_fresh_builds_after_any_mutation(mode, initial, o
                 _read_witnesses(g, cfgs)
                 _assert_cache_coherent(g)
         _assert_cache_coherent(g)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_an_edge_between_rim_vertices_keeps_the_cached_witness(l):
+    """A cached witness is registered only under the vertices its walks step
+    from, so an edge joining two rim vertices (at distance l, where no walk
+    steps from) evicts nothing, and the kept entry is still a fresh build."""
+    g = GraphStore()
+    for a, b, c in (("h", "x1", "x2"), ("t", "y1", "y2")):
+        g.add_tuple(Tuple(a, "s", b))
+        g.add_tuple(Tuple(b, "s", c))
+    center = Tuple("h", "r", "t")
+    g.add_tuple(center)
+    cfg = ValidationConfig(l=l)
+    cached = witness_embedding(g, center, cfg)
+    rim = ("x1", "y1") if l == 1 else ("x2", "y2")
+    assert g.add_tuple(Tuple(rim[0], "s", rim[1]))
+    assert g.embedding_cache[(center, l, cfg.mode)] is cached
+    _assert_cache_coherent(g)
+    assert g.add_tuple(Tuple("h", "q", rim[0]))            # an edge at an endpoint evicts
+    assert (center, l, cfg.mode) not in g.embedding_cache
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), l=st.integers(1, 3), mode=st.sampled_from(MODES))
+def test_a_relabeled_candidate_pattern_embeds_as_a_fresh_build(seed, l, mode):
+    """Walks never step over an edge between the endpoints, so one label's
+    candidate pattern, relabeled, gives every other label, one absent from
+    the graph included, the embedding and the ball a fresh build gives."""
+    rng = random.Random(seed)
+    g = random_graph(rng)
+    center = center_with_parallels(rng, g)     # existing, hypothetical or head == tail
+    cfg = ValidationConfig(l=l, mode=mode)
+    first, _ = candidate_embedding(g, center, cfg)
+    for label in LABELS + ("absent",):
+        s = Tuple(center.head, label, center.tail)
+        relabeled, got = candidate_embedding(g, s, cfg, first)
+        fresh, want = candidate_embedding(g, s, cfg)
+        assert relabeled.center == s and relabeled.walks is first.walks
+        assert got == want
+        assert (relabeled.vertices, relabeled.edges) == (fresh.vertices, fresh.edges)
 
 
 # -- the indexed scan against the pairwise scan --------------------------------
