@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import gc
 import json
 
 import click
@@ -14,6 +13,7 @@ from .graph_store import (
     GraphFormatError,
     NALabelError,
     Tuple,
+    collector_paused,
     identifier,
     load_graph,
     read_tuples,
@@ -88,24 +88,20 @@ def validation_options(*flags):
 
 
 def _read(reader, path):
-    """`reader(path)`, with malformed input reported as a usage error.
-
-    What has been read is then frozen (`gc.freeze`), so that the collections
-    during the rest of the command never walk it again: a loaded graph holds
-    no reference cycle and lives until the command exits.
-    """
+    """`reader(path)`, with malformed input reported as a usage error."""
     try:
-        found = reader(path)
+        return reader(path)
     except _INPUT_ERRORS as exc:
         raise _usage(exc) from exc
-    gc.freeze()
-    return found
 
 
 @click.group()
 @click.version_option(package_name="kgmend")
 def main() -> None:
     """Validate and repair relation labels before merging tuples into a graph."""
+    # every command is bulk work over a graph that holds no reference cycle and
+    # lives until the command exits, so it runs with the collector paused
+    click.get_current_context().with_resource(collector_paused())
 
 
 @main.command()

@@ -19,7 +19,7 @@ import gc
 import re
 import sys
 from contextlib import contextmanager
-from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple
+from typing import Collection, Container, Iterable, Iterator, NamedTuple
 
 NA = "NA"
 
@@ -305,32 +305,33 @@ def read_tuples(path) -> list[Tuple]:
     return out
 
 
-def collector_paused(build: Callable[[], GraphStore]) -> GraphStore:
-    """The store `build()` returns, built with the cyclic garbage collector
-    paused; the caller's collector state is restored on return or error.
+class collector_paused:
+    """`with collector_paused():` runs its block with the cyclic garbage
+    collector off and restores the caller's state on exit, normal or not.
 
-    A build allocates a few objects per tuple, which would set off hundreds
-    of collections on a large graph, some walking the whole store built so
-    far, and none could free anything: the store holds Tuples of strings in
-    sets and dicts, with no reference cycle.
+    Bulk work allocates a few objects per tuple or label check, which would
+    set off hundreds of collections, some walking the whole store, and none
+    could free anything: the store holds Tuples of strings in sets and dicts,
+    with no reference cycle. A class, not a generator, so that its exit
+    allocates nothing after the collector is back on.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return build()
-    finally:
-        if enabled:
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
             gc.enable()
 
 
 def load_graph(path) -> GraphStore:
     """Read a graph file into a new store, built with the collector paused."""
-    def build():
+    with collector_paused():
         g = GraphStore()
         for s in read_tuples(path):
             g.add_tuple(s)
-        return g
-    return collector_paused(build)
+    return g
 
 
 def save_graph(g: GraphStore, path) -> None:

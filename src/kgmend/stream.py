@@ -79,14 +79,13 @@ def integrate_aux(g: GraphStore, aux_graph_path, label_map: dict[str, str]) -> G
     and are never merged into g. The store is built with the collector
     paused, as `load_graph` builds one.
     """
-    def build():
+    with collector_paused():
         aux = GraphStore()
         for s in read_tuples(aux_graph_path):
             target = label_map.get(s.relation)
             if target is not None:
                 aux.add_tuple(Tuple(s.head, target, s.tail))
-        return aux
-    g.aux_source = aux = collector_paused(build)
+    g.aux_source = aux
     return aux
 
 
@@ -121,7 +120,9 @@ def run(
     as a PredictionFormatError, and a record whose id repeats an earlier
     record's id are counted as malformed and skipped. Returns the resolved
     decision log (one entry per record, in resolution order) and one
-    SliceResult per slice. The graph is enhanced in place.
+    SliceResult per slice. The graph is enhanced in place. Each slice is
+    repaired with the collector paused (`collector_paused`); between slices
+    the collector is as the caller left it.
     """
     if slice_size < 1:
         raise ValueError("slice_size must be >= 1")
@@ -142,7 +143,8 @@ def run(
         records = [rec for rec, _ in batch]
 
         start = time.perf_counter()
-        decisions = repair_instance(g, records, cfg)
+        with collector_paused():
+            decisions = repair_instance(g, records, cfg)
         elapsed = time.perf_counter() - start
 
         counts = {ACCEPTED: 0, REPAIRED: 0, REJECTED: 0, HELD: 0}

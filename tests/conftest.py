@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from pathlib import Path
 
@@ -86,6 +87,24 @@ def cache_registrations(g: GraphStore) -> set:
     """(vertex, cache key) pairs in the store's reverse index of cached witnesses."""
     return {(v, key) for v, held in g._cache_keys.items()
             for key in (held if isinstance(held, set) else (held,))}
+
+
+@pytest.fixture
+def collector():
+    """Collections started while the test runs; the collector state is restored."""
+    enabled = gc.isenabled()
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if enabled else gc.disable)()
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgmend import GraphStore, PredictionRecord, Tuple, load_graph, save_graph
+from kgmend import cli
 from kgmend.cli import main
 from kgmend.repair import UNKNOWN_POLICIES, write_predictions
 
@@ -262,6 +264,60 @@ def test_detect_errors_scores_labeled_facts(runner, tmp_path):
     report = json.loads(result.stdout)
     assert report["tp"] == 1 and report["tn"] == 1
     assert report["f_score"] == 1.0
+
+
+def _every_command(tmp_path) -> dict:
+    """Arguments that run each command to completion on small inputs."""
+    graph = str(support_graph_file(tmp_path))
+    tuples = tmp_path / "cand.tsv"
+    tuples.write_text("h\tr\tt\nghost\tr\tnowhere\n")
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("h\tr\tt\t1\nghost\tr\tnowhere\t0\n")
+    preds = str(predictions_file(tmp_path, [
+        PredictionRecord(f"n{i}", f"h{i}", "t", (("wrong", 0.8), ("r", 0.5))) for i in range(3)]))
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("e\tr\n")
+    return {
+        "enhance": ["enhance", "--graph", graph, "--predictions", preds],
+        "validate": ["validate", "--graph", graph, "--tuples", str(tuples)],
+        "predict-links": ["predict-links", "--graph", graph, "--tuples", str(tuples)],
+        "detect-errors": ["detect-errors", "--graph", graph, "--facts", str(facts)],
+        "embed": ["embed", "--graph", graph, "--head", "h", "--relation", "r", "--tail", "t"],
+        "stats": ["stats", "--graph", graph],
+        "inject-errors": ["inject-errors", "--predictions", preds, "--rate", "0.5"],
+        "stats, malformed graph": ["stats", "--graph", str(bad)],
+    }
+
+
+def test_every_command_leaves_the_collector_as_it_found_it(runner, tmp_path, collector):
+    # a command called in process pauses the collector for its own run only,
+    # and freezes nothing of its caller's
+    found = {}
+    for name, args in _every_command(tmp_path).items():
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            result = runner.invoke(main, args)
+            assert result.exit_code == (2 if "malformed" in name else 0), (name, result.output)
+            found[name, enabled] = (gc.isenabled(), gc.get_freeze_count() - frozen)
+    assert found == {key: (key[1], 0) for key in found}
+
+
+def test_enhance_runs_its_stream_with_the_collector_paused(runner, tmp_path, monkeypatch, collector):
+    # reading predictions and committing slices included
+    seen = []
+    real = cli.run_stream
+
+    def recorded(*args, **kwargs):
+        paused, started = not gc.isenabled(), len(collector)
+        result = real(*args, **kwargs)
+        seen.append((paused, len(collector) - started))
+        return result
+
+    monkeypatch.setattr(cli, "run_stream", recorded)
+    gc.enable()
+    result = runner.invoke(main, _every_command(tmp_path)["enhance"])
+    assert result.exit_code == 0 and seen == [(True, 0)] and gc.isenabled()
 
 
 def test_enhance_writes_decisions_graph_and_metrics(runner, tmp_path):

@@ -294,24 +294,6 @@ def test_parse_tuple_line_follows_the_identifier_rule_for_any_one_odd_character(
 
 # -- the collector during a load ----------------------------------------------
 
-@pytest.fixture
-def collector():
-    """Collections started while the test runs; the collector state is restored."""
-    enabled = gc.isenabled()
-    started = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    gc.callbacks.append(count)
-    try:
-        yield started
-    finally:
-        gc.callbacks.remove(count)
-        (gc.enable if enabled else gc.disable)()
-
-
 def test_load_graph_sets_off_no_collection(tmp_path, collector):
     path = tmp_path / "g.tsv"
     path.write_text("".join(f"e{i}\tr{i % 7}\te{(i * 31) % 20_000}\n" for i in range(20_000)))

@@ -88,3 +88,33 @@ def test_every_definition_is_reached_from_the_package():
     method is named somewhere else in the package, exported, a click command
     or a dunder."""
     assert _unreached_definitions() == []
+
+
+def _collector_uses() -> list[str]:
+    """Imports of `gc` outside `graph_store`, and names of it outside
+    `graph_store.collector_paused`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(n) for node in ast.walk(tree)
+                   if path.name == "graph_store.py"
+                   and isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                   and node.name == "collector_paused" for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                names = []
+            if "gc" in names and path.name != "graph_store.py":
+                found.append(f"{path.name}:{node.lineno}: import gc")
+            if isinstance(node, ast.Name) and node.id == "gc" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}: gc")
+    return found
+
+
+def test_only_collector_paused_touches_the_collector():
+    """One rule for the cyclic garbage collector, kept in one place: bulk work
+    runs under `graph_store.collector_paused`, which alone calls `gc`."""
+    assert _collector_uses() == []

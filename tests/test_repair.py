@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgmend import (
+    BenchmarkSpec,
     GraphStore,
     NA,
     PredictionFormatError,
@@ -16,7 +17,10 @@ from kgmend import (
     RepairConfig,
     Tuple,
     ValidationConfig,
+    benchmark_generate,
+    classify,
     initial_instance,
+    inject_errors,
     joint_scores,
     predict_link,
     repair,
@@ -400,3 +404,41 @@ def test_repair_tuple_matches_the_reference_walk(graph_seed, endpoints, candidat
 
     got, want = decide(repair_tuple), decide(reference_repair_tuple)
     assert (got.to_json(), got.checks, got.support) == (want.to_json(), want.checks, want.support)
+
+
+def test_decisions_do_not_depend_on_cache_state(monkeypatch):
+    # a cold store and one whose witness cache and posting indexes are full,
+    # the indexes with holes, decide the same records alike; records that join
+    # stored vertices make the snapshot's writes evict cached witnesses
+    spec = BenchmarkSpec(records=300, labels=6, occurrences_per_label=15, seed=3)
+    cold, records, _ = benchmark_generate(spec)
+    warm, _, _ = benchmark_generate(spec)
+    vcfg = ValidationConfig()
+    for s in warm.all_tuples():
+        validation.witness_embedding(warm, s, vcfg)
+    rng = random.Random(0)
+    labels = sorted({r for record in records for r, _ in record.candidates} - {NA})
+    stored = [s for r in labels for s in warm.tuples_with_relation(r)]
+    for s in rng.sample(stored, 40):
+        wrong = Tuple(s.head, rng.choice([r for r in labels if r != s.relation]), s.tail)
+        ignore = frozenset(rng.sample(warm.tuples_with_relation(wrong.relation), 3))
+        classify(warm, wrong, vcfg, ignore)
+    assert any(index.holes for index in warm.postings.values())
+    assert len(warm.embedding_cache) == len(warm) and not cold.embedding_cache
+    records = inject_errors(records, rate=0.3, seed=0) + [
+        rec(f"x{i}", a.head, b.tail, *zip(rng.sample(labels, 3), (0.8, 0.5, 0.3)))
+        for i, (a, b) in enumerate(rng.sample(stored, 2) for _ in range(100))]
+
+    reports = {id(cold): [], id(warm): []}
+    decide = repair.support_from_evidence
+
+    def recorded(g, *args):
+        report = decide(g, *args)
+        reports[id(g)].append(report)
+        return report
+
+    monkeypatch.setattr(repair, "support_from_evidence", recorded)
+    cfg = RepairConfig(validation=vcfg)
+    assert repair_instance(warm, records, cfg) == repair_instance(cold, records, cfg)
+    assert reports[id(warm)] == reports[id(cold)]
+    assert any(report.escalated and report.witnesses for report in reports[id(cold)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -25,7 +26,7 @@ from kgmend import (
     load_label_map,
     run,
 )
-from kgmend import repair
+from kgmend import repair, stream
 from kgmend.graph_store import GraphFormatError
 from kgmend.repair import PredictionFormatError, RepairDecision
 
@@ -277,3 +278,49 @@ def test_seeded_stream_decisions_match_the_pinned_digest():
         ("60b6859cd308c64a19e8270f8996c351750b2267353019cc0fa6f8234ad14937",
          {"Accepted": 561, "Repaired": 237, "Held terminal": 202}),
     ]
+
+
+# -- the collector during a run ------------------------------------------------
+
+def test_run_repairs_each_slice_with_the_collector_paused(monkeypatch, collector):
+    g, records, _ = benchmark_generate(
+        BenchmarkSpec(records=600, labels=10, occurrences_per_label=10, seed=0))
+    calls = []
+    real = stream.repair_instance
+
+    def recorded(*args):
+        paused, started = not gc.isenabled(), len(collector)
+        decisions = real(*args)
+        calls.append((paused, len(collector) - started))
+        return decisions
+
+    monkeypatch.setattr(stream, "repair_instance", recorded)
+    gc.enable()
+    log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), RepairConfig(), slice_size=200)
+    assert len(log) == len(records)
+    assert calls == [(True, 0)] * 3      # paused, and no collection set off inside
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_run_leaves_the_collector_as_it_found_it(monkeypatch, collector, raises):
+    paused = []
+
+    def repair_instance(g, records, cfg):
+        paused.append(not gc.isenabled())
+        if raises:
+            raise RuntimeError("repair failed")
+        return repair.repair_instance(g, records, cfg)
+
+    monkeypatch.setattr(stream, "repair_instance", repair_instance)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        if raises:
+            with pytest.raises(RuntimeError, match="repair failed"):
+                run(head_context_graph(), [rec("a", "h", "t", ("r", 0.9))], rcfg())
+        else:
+            records = [rec("a", "h", "t", ("r", 0.9)), rec("b", "h", "u", ("r", 0.9))]
+            log, _ = run(head_context_graph(), records, rcfg(), slice_size=1)
+            assert len(log) == 2
+        assert gc.isenabled() == enabled
+    assert paused and all(paused)
