@@ -9,7 +9,8 @@ probably true, unsupported in a known neighborhood means probably wrong.
 
 import random
 
-from kgmend import BenchmarkSpec, ValidationConfig, benchmark_facts, benchmark_generate, detect_errors
+from kgmend import (BenchmarkSpec, ScoreReport, ValidationConfig, benchmark_facts,
+                    benchmark_generate, detect_errors)
 
 # training graph only, no prediction records
 spec = BenchmarkSpec(records=0, labels=20, occurrences_per_label=20, seed=0)
@@ -26,9 +27,5 @@ print(report.to_json())
 # a coin flip at the same prior for comparison
 rng = random.Random(5)
 guesses = [rng.random() < 0.5 for _ in facts]
-tp = sum(1 for guess, (_, truth) in zip(guesses, facts) if guess and truth)
-fp = sum(1 for guess, (_, truth) in zip(guesses, facts) if guess and not truth)
-fn = sum(1 for guess, (_, truth) in zip(guesses, facts) if not guess and truth)
-precision = tp / (tp + fp)
-recall = tp / (tp + fn)
-print("coin flip F1:", round(2 * precision * recall / (precision + recall), 4))
+coin = ScoreReport.from_pairs((guess, truth) for guess, (_, truth) in zip(guesses, facts))
+print("coin flip F1:", round(coin.f_score, 4))

@@ -43,6 +43,8 @@ from .validation import (
     classify,
 )
 
+__version__ = "0.1.0"
+
 __all__ = [
     "BenchmarkSpec",
     "GoldLabel",

@@ -4,23 +4,17 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
+from contextlib import contextmanager
 
 import click
 
+import kgmend
+
 from .embedding import format_embedding
 from .evalkit import detect_errors, inject_errors, read_labeled_facts
-from .graph_store import (
-    GraphFormatError,
-    NALabelError,
-    Tuple,
-    collector_paused,
-    identifier,
-    load_graph,
-    read_tuples,
-    save_graph,
-)
+from .graph_store import Tuple, collector_paused, identifier, load_graph, read_tuples, save_graph
 from .repair import (
-    PredictionFormatError,
     UNKNOWN_POLICIES,
     RepairConfig,
     iter_prediction_lines,
@@ -33,14 +27,19 @@ from .stream import integrate_aux, load_label_map
 from .stream import run as run_stream
 from .validation import ValidationConfig, candidate_embedding, classify
 
-_INPUT_ERRORS = (GraphFormatError, NALabelError, PredictionFormatError)
-
 _FILE_IN = click.Path(exists=True, dir_okay=False)
 _FILE_OUT = click.Path(dir_okay=False, writable=True)
 
 
-def _usage(exc: Exception) -> click.UsageError:
-    return click.UsageError(str(exc))
+@contextmanager
+def _usage_errors():
+    """Report a ValueError raised in the block as a usage error (exit 2): a
+    bad option value, or a malformed input file, whose readers raise
+    `GraphFormatError`, `NALabelError` or `PredictionFormatError`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 _VCFG = ValidationConfig()
@@ -75,10 +74,8 @@ def validation_options(*flags):
             fields = {name: kwargs.pop(name) for name in flags}
             if "sort_paths" in fields:
                 fields["mode"] = "sorted" if fields.pop("sort_paths") == "on" else "positional"
-            try:
+            with _usage_errors():
                 vcfg = ValidationConfig(**fields)
-            except ValueError as exc:
-                raise _usage(exc) from exc
             return fn(vcfg=vcfg, **kwargs)
 
         for name in reversed(flags):
@@ -87,16 +84,8 @@ def validation_options(*flags):
     return decorate
 
 
-def _read(reader, path):
-    """`reader(path)`, with malformed input reported as a usage error."""
-    try:
-        return reader(path)
-    except _INPUT_ERRORS as exc:
-        raise _usage(exc) from exc
-
-
 @click.group()
-@click.version_option(package_name="kgmend")
+@click.version_option(kgmend.__version__, prog_name="kgmend")
 def main() -> None:
     """Validate and repair relation labels before merging tuples into a graph."""
     # every command is bulk work over a graph that holds no reference cycle and
@@ -128,18 +117,16 @@ def main() -> None:
 def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_hold,
             workers, aux_graph, label_map, out_decisions, out_graph, metrics):
     """Repair a prediction stream and commit the accepted tuples."""
-    try:
+    with _usage_errors():
         cfg = RepairConfig(k=k, p_th=p_th, unknown_policy=unknown_policy,
                            max_hold_iterations=max_hold, validation=vcfg)
-    except ValueError as exc:
-        raise _usage(exc) from exc
-    if slice_size < 1 or workers < 1:
-        raise click.UsageError("slice-size and workers must be at least 1")
-    if bool(aux_graph) != bool(label_map):
-        raise click.UsageError("--aux-graph and --label-map must be given together")
-    g = _read(load_graph, graph)
-    if aux_graph:
-        _read(lambda path: integrate_aux(g, path, load_label_map(label_map)), aux_graph)
+        if slice_size < 1 or workers < 1:
+            raise ValueError("slice-size and workers must be at least 1")
+        if bool(aux_graph) != bool(label_map):
+            raise ValueError("--aux-graph and --label-map must be given together")
+        g = load_graph(graph)
+        if aux_graph:
+            integrate_aux(g, aux_graph, load_label_map(label_map))
     stream = iter_prediction_lines(predictions)
     log, results = run_stream(g, stream, cfg, slice_size=slice_size)
     if out_decisions:
@@ -153,9 +140,7 @@ def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_h
         with open(metrics, "w", encoding="utf-8") as fh:
             for res in results:
                 fh.write(res.to_json() + "\n")
-    counts: dict[str, int] = {}
-    for dec in log:
-        counts[dec.status] = counts.get(dec.status, 0) + 1
+    counts = Counter(dec.status for dec in log)
     summary = ", ".join(f"{status}: {n}" for status, n in sorted(counts.items()))
     click.echo(f"records: {len(log)} ({summary or 'none'})", err=True)
 
@@ -167,8 +152,10 @@ def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_h
 @validation_options()
 def validate(graph, tuples_path, vcfg):
     """Classify each tuple as Valid, Invalid or Unknown."""
-    g = _read(load_graph, graph)
-    for s in _read(read_tuples, tuples_path):
+    with _usage_errors():
+        g = load_graph(graph)
+        candidates = read_tuples(tuples_path)
+    for s in candidates:
         report = classify(g, s, vcfg)
         click.echo(json.dumps({
             "head": s.head, "relation": s.relation, "tail": s.tail,
@@ -185,15 +172,9 @@ def validate(graph, tuples_path, vcfg):
 @validation_options("l", "sort_paths")
 def embed(graph, head, relation, tail, vcfg):
     """Print the path embedding of one center tuple, one path per line."""
-    try:
+    with _usage_errors():
         center = Tuple(identifier(head), identifier(relation), identifier(tail))
-    except ValueError as exc:
-        raise _usage(exc) from exc
-    g = _read(load_graph, graph)
-    try:
-        _, emb = candidate_embedding(g, center, vcfg)
-    except ValueError as exc:
-        raise _usage(exc) from exc
+        _, emb = candidate_embedding(load_graph(graph), center, vcfg)
     click.echo(format_embedding(emb), nl=False)
 
 
@@ -203,8 +184,10 @@ def embed(graph, head, relation, tail, vcfg):
 @validation_options("l", "sample_size", "seed", "sort_paths")
 def predict_links(graph, tuples_path, vcfg):
     """Print linkage probabilities for candidate tuples."""
-    g = _read(load_graph, graph)
-    for s in _read(read_tuples, tuples_path):
+    with _usage_errors():
+        g = load_graph(graph)
+        candidates = read_tuples(tuples_path)
+    for s in candidates:
         link = predict_link(g, s.head, s.tail, s.relation, vcfg)
         click.echo(json.dumps({
             "head": s.head, "relation": s.relation, "tail": s.tail, "link": link,
@@ -218,11 +201,8 @@ def predict_links(graph, tuples_path, vcfg):
 @click.option("--out", type=_FILE_OUT, help="Perturbed records; stdout when omitted.")
 def inject_errors_cmd(predictions, rate, seed, out):
     """Swap Top-1 and Top-2 labels for a seeded fraction of records."""
-    try:
-        records = read_predictions(predictions)
-        perturbed = inject_errors(records, rate, seed)
-    except ValueError as exc:
-        raise _usage(exc) from exc
+    with _usage_errors():
+        perturbed = inject_errors(read_predictions(predictions), rate, seed)
     if out:
         write_predictions(perturbed, out)
     else:
@@ -239,12 +219,9 @@ def inject_errors_cmd(predictions, rate, seed, out):
               help="Count Unknown facts as predicted true.")
 def detect_errors_cmd(graph, facts, vcfg, unknown_true):
     """Score truth detection over labeled held-out facts."""
-    g = _read(load_graph, graph)
-    try:
-        labeled = read_labeled_facts(facts)
-        report = detect_errors(g, labeled, vcfg, unknown_is_true=unknown_true)
-    except ValueError as exc:
-        raise _usage(exc) from exc
+    with _usage_errors():
+        report = detect_errors(load_graph(graph), read_labeled_facts(facts), vcfg,
+                               unknown_is_true=unknown_true)
     click.echo(report.to_json())
 
 
@@ -252,7 +229,8 @@ def detect_errors_cmd(graph, facts, vcfg, unknown_true):
 @click.option("--graph", required=True, type=_FILE_IN)
 def stats(graph):
     """Print vertex, edge, relation and degree counts."""
-    g = _read(load_graph, graph)
+    with _usage_errors():
+        g = load_graph(graph)
     d_max, vertices, edges = g.degree_stats()
     click.echo(json.dumps({
         "vertices": vertices, "edges": edges,

@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph_store import GraphFormatError, GraphStore, NA, Tuple, open_input, parse_tuple_line
 from .repair import PredictionRecord, RepairDecision
@@ -46,10 +46,7 @@ class ScoreReport:
         return cls(tp, fp, fn, tn, precision, recall, f_score)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "precision": self.precision, "recall": self.recall, "f_score": self.f_score,
-        })
+        return json.dumps(asdict(self))
 
 
 def _selected(seed: int, record_id: str, rate: float) -> bool:

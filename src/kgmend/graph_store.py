@@ -152,7 +152,8 @@ class GraphStore:
     def overlay(self, tuples: Iterable[Tuple]):
         """Temporarily add tuples (a g-union-instance snapshot), then restore.
 
-        The caller must not mutate the store inside the block.
+        Yields the frozenset of the tuples it inserted, those the store did
+        not hold. The caller must not mutate the store inside the block.
         """
         inserted = []
         try:
@@ -160,7 +161,7 @@ class GraphStore:
                 if self.add_tuple(s):
                     inserted.append(s)
             self.bump_version()
-            yield self
+            yield frozenset(inserted)
         finally:
             for s in reversed(inserted):
                 self.remove_tuple(s)
@@ -326,7 +327,13 @@ class collector_paused:
 
 
 def load_graph(path) -> GraphStore:
-    """Read a graph file into a new store, built with the collector paused."""
+    """Read a graph file into a new store, built with the collector paused.
+
+    The new store's objects all sit in the collector's youngest generation, so
+    the first collections after this returns walk the whole store. A caller
+    that goes on to bulk work, such as `stream.run`, saves those passes by
+    running the load and the work under one `with collector_paused():`.
+    """
     with collector_paused():
         g = GraphStore()
         for s in read_tuples(path):

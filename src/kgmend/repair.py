@@ -153,16 +153,11 @@ def predict_link(g: GraphStore, h: str, t: str, r: str, cfg: ValidationConfig) -
 
 
 def _top_k_labels(rec: PredictionRecord, k: int) -> list[tuple[str, float]]:
-    picked = []
-    seen = set()
+    first: dict[str, float] = {}        # a repeated label keeps its first p
     for label, p in rec.candidates:
-        if label == NA or label in seen:
-            continue
-        picked.append((label, p))
-        seen.add(label)
-        if len(picked) == k:
-            break
-    return picked
+        if label != NA:
+            first.setdefault(label, p)
+    return list(first.items())[:k]
 
 
 def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
@@ -243,9 +238,7 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
     Decisions come back in input order; there is no cross-record
     combinatorial search.
     """
-    instance = initial_instance(records, cfg.p_th)
-    context = frozenset(s for s in instance if s not in g)
-    with g.overlay(instance):
+    with g.overlay(initial_instance(records, cfg.p_th)) as context:
         return [repair_tuple(g, rec, cfg, context) for rec in records]
 
 

@@ -14,6 +14,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph_store import (GraphFormatError, GraphStore, NA, Tuple, collector_paused, identifier,
                           open_input, read_tuples)
@@ -97,17 +98,6 @@ def commit(g: GraphStore, decisions: list[RepairDecision]) -> int:
     return g.bump_version()
 
 
-def _chunks(stream, size: int):
-    chunk = []
-    for item in stream:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def run(
     g: GraphStore,
     prediction_stream,
@@ -130,8 +120,10 @@ def run(
     log: list[RepairDecision] = []
     results: list[SliceResult] = []
     ids: set[str] = set()
+    stream = iter(prediction_stream)
+    slices = iter(lambda: list(islice(stream, slice_size)), [])     # read as each is due; [] ends
 
-    for index, raw_slice in enumerate(_chunks(prediction_stream, slice_size)):
+    for index, raw_slice in enumerate(slices):
         fresh = []
         for item in raw_slice:
             if isinstance(item, PredictionRecord) and item.id not in ids:

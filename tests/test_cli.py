@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgmend
 from kgmend import GraphStore, PredictionRecord, Tuple, load_graph, save_graph
 from kgmend import cli
 from kgmend.cli import main
@@ -318,6 +322,35 @@ def test_enhance_runs_its_stream_with_the_collector_paused(runner, tmp_path, mon
     gc.enable()
     result = runner.invoke(main, _every_command(tmp_path)["enhance"])
     assert result.exit_code == 0 and seen == [(True, 0)] and gc.isenabled()
+
+
+@pytest.mark.parametrize("command, binding", [
+    ("enhance", "run_stream"), ("validate", "classify"), ("predict-links", "predict_link")])
+def test_a_value_error_past_the_inputs_is_not_a_usage_error(runner, tmp_path, monkeypatch,
+                                                            command, binding):
+    # only option parsing and file reading report ValueError as exit 2; a fault
+    # in the work itself ends in a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, binding, broken)
+    result = runner.invoke(main, _every_command(tmp_path)[command])
+    assert result.exit_code == 1 and isinstance(result.exception, ValueError)
+
+
+def test_version_is_the_package_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"kgmend, version {kgmend.__version__}\n"
+
+
+def test_version_runs_from_a_source_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-m", "kgmend.cli", "--version"], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"kgmend, version {kgmend.__version__}\n"
 
 
 def test_enhance_writes_decisions_graph_and_metrics(runner, tmp_path):

@@ -112,6 +112,17 @@ def test_overlay_adds_then_restores():
     assert g.version > v0 + 1
 
 
+def test_overlay_yields_the_tuples_it_inserted():
+    g = small_graph()
+    new = [Tuple("c", "r", "d"), Tuple("d", "s", "a")]
+    # a stored tuple and a repeated one are not inserted, so not yielded
+    with g.overlay([new[0], Tuple("a", "r", "b"), new[1], new[0]]) as inserted:
+        assert inserted == frozenset(new)
+        assert isinstance(inserted, frozenset)
+    with g.overlay([]) as inserted:
+        assert inserted == frozenset()
+
+
 def test_overlay_restores_on_error():
     g = small_graph()
     before = set(g.all_tuples())

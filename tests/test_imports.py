@@ -118,3 +118,27 @@ def test_only_collector_paused_touches_the_collector():
     """One rule for the cyclic garbage collector, kept in one place: bulk work
     runs under `graph_store.collector_paused`, which alone calls `gc`."""
     assert _collector_uses() == []
+
+
+def _usage_error_boundaries() -> tuple[int, list[str]]:
+    """The number of `try` statements in `cli`, and the names of `UsageError`
+    outside `cli._usage_errors`."""
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    allowed = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_usage_errors"
+               for n in ast.walk(node)}
+    tries, found = 0, []
+    for node in ast.walk(tree):
+        tries += isinstance(node, ast.Try)
+        named = (isinstance(node, ast.Name) and node.id == "UsageError") \
+            or (isinstance(node, ast.Attribute) and node.attr == "UsageError")
+        if named and id(node) not in allowed:
+            found.append(f"cli.py:{node.lineno}: UsageError")
+    return tries, found
+
+
+def test_cli_has_one_usage_error_boundary():
+    """One rule for bad input on the command line: a ValueError raised while
+    options are parsed or input files are read becomes a usage error (exit 2)
+    in `cli._usage_errors`, which holds the module's one `try`."""
+    assert _usage_error_boundaries() == (1, [])

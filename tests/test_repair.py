@@ -165,6 +165,13 @@ def test_joint_scores_skip_na_and_truncate_to_k():
     assert [label for label, _ in scored] == ["a", "b"]
 
 
+def test_joint_scores_keep_a_repeated_labels_first_p_and_truncate_after_dedup():
+    record = rec("e1", "h", "t", ("a", 0.5), (NA, 0.4), ("a", 0.3), ("b", 0.2), ("c", 0.1))
+    scored = joint_scores(GraphStore(), record, rcfg(k=2),
+                          link_fn=stub_link({"a": 1.0, "b": 1.0, "c": 1.0}))
+    assert scored == [("a", 0.5), ("b", 0.2)]
+
+
 def test_joint_ranking_invariant_under_probability_scaling():
     link = stub_link({"a": 0.2, "b": 0.9, "c": 0.4})
     base = rec("e1", "h", "t", ("a", 0.8), ("b", 0.5), ("c", 0.3))

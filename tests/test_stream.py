@@ -176,6 +176,48 @@ def test_discovery_is_a_logged_noop(caplog):
     assert any("discovery" in message for message in caplog.messages)
 
 
+def _counted(records, pulled):
+    for record in records:
+        pulled.append(record.id)
+        yield record
+
+
+def _stream_records(n):
+    return [rec(f"n{i}", f"h{i}", f"t{i}", ("r", 0.9)) for i in range(n)]
+
+
+def test_run_pulls_each_slice_from_the_stream_lazily(monkeypatch):
+    # a slice is repaired before the next one is read: a stream can be unbounded
+    pulled, seen = [], []
+    real = stream.repair_instance
+
+    def recorded(g, records, cfg):
+        seen.append(len(pulled))
+        return real(g, records, cfg)
+
+    monkeypatch.setattr(stream, "repair_instance", recorded)
+    log, results = run(head_context_graph(), _counted(_stream_records(9), pulled), rcfg(),
+                       slice_size=3)
+    assert seen == [3, 6, 9]
+    assert len(log) == 9 and len(results) == 3
+
+
+@pytest.mark.parametrize("n, slices", [(6, 2), (7, 3)])
+def test_run_makes_no_empty_slice(monkeypatch, n, slices):
+    sizes = []
+    real = stream.repair_instance
+
+    def recorded(g, records, cfg):
+        sizes.append(len(records))
+        return real(g, records, cfg)
+
+    monkeypatch.setattr(stream, "repair_instance", recorded)
+    _, results = run(head_context_graph(), _counted(_stream_records(n), []),
+                     rcfg(unknown_policy="reject"), slice_size=3)
+    assert len(results) == slices and len(sizes) == slices
+    assert all(sizes) and sum(sizes) == n
+
+
 def test_load_label_map(tmp_path):
     path = tmp_path / "map.tsv"
     path.write_text("# aux -> target\nx\tr\n\nqa\tq\ndead\tNA\n")
