@@ -12,6 +12,8 @@ tuple is never stored twice, but parallel edges with different labels between
 the same endpoints are fine.
 The reserved label NA ("no relation") is never stored; deletion of a fact is
 physical removal.
+A graph file is read about 64 KiB of whole lines at a time: a chunk of plain
+lines in one regex pass, any other chunk line by line under the same rule.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import gc
 import re
 import sys
 from contextlib import contextmanager
+from itertools import chain, repeat
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 NA = "NA"
@@ -85,18 +88,25 @@ class GraphStore:
 
     def add_tuple(self, s: Tuple) -> bool:
         """Insert s; return True if inserted, False if already present."""
-        if s.relation == NA:
-            raise NALabelError(f"refusing to store NA-labeled tuple {s.head} -> {s.tail}")
-        bucket = self._by_relation.setdefault(s.relation, set())
-        if s in bucket:
+        head, relation, tail = s
+        if relation == NA:
+            raise NALabelError(f"refusing to store NA-labeled tuple {head} -> {tail}")
+        bucket = self._by_relation.get(relation)
+        if bucket is None:
+            bucket = self._by_relation[relation] = set()
+        elif s in bucket:
             return False
         bucket.add(s)
-        for index, v in ((self._out, s.head), (self._in, s.tail)):
-            held = index.setdefault(v, s)     # s itself if v had no edge here
-            if type(held) is list:
-                held.append(s)
-            elif held is not s:
-                index[v] = [held, s]
+        held = self._out.setdefault(head, s)     # s itself if head had no out-edge
+        if type(held) is list:
+            held.append(s)
+        elif held is not s:
+            self._out[head] = [held, s]
+        held = self._in.setdefault(tail, s)
+        if type(held) is list:
+            held.append(s)
+        elif held is not s:
+            self._in[tail] = [held, s]
         self._touch(s)
         return True
 
@@ -124,7 +134,8 @@ class GraphStore:
         return True
 
     def _touch(self, s: Tuple) -> None:
-        self._relation_order.pop(s.relation, None)
+        if self._relation_order:
+            self._relation_order.pop(s.relation, None)
         if self.postings:
             self.postings.clear()
         if self.embedding_cache:
@@ -287,7 +298,10 @@ def identifier(value: str) -> str:
 # the line's other two: printable ASCII, not led by `#` or a space, and not
 # ending in one. The CR of a CRLF ending, which `identifier` strips, may follow.
 _PLAIN_CELL = r'([!"$-~][ -~]*(?<! ))'
-_plain_cells = re.compile("\t".join([_PLAIN_CELL] * 3) + "\r?").fullmatch
+_PLAIN_LINE = "\t".join([_PLAIN_CELL] * 3) + "\r?"
+_plain_cells = re.compile(_PLAIN_LINE).fullmatch
+_plain_lines = re.compile(f"^{_PLAIN_LINE}$", re.M).findall    # each line of a chunk
+_CHUNK_HINT = 1 << 16           # characters of whole lines per chunk: `readlines`' hint
 
 
 def parse_tuple_line(line: str, lineno: int) -> Tuple:
@@ -324,13 +338,25 @@ def open_input(path):
 
 
 def read_tuples(path) -> list[Tuple]:
-    out = []
+    """A graph file's tuples in file order, blank and `#` lines skipped; the
+    first bad line raises with its number. A chunk of plain lines and no NA
+    label is split in one regex pass, any other chunk read line by line under
+    the same rule, `parse_tuple_line`'s."""
+    out, before = [], 0         # lines in the chunks already read
     with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.lstrip()[:1] in ("", "#"):      # blank, or a comment
-                continue
-            out.append(parse_tuple_line(line, lineno))
+        while lines := fh.readlines(_CHUNK_HINT):
+            chunk = "".join(lines)
+            rows = _plain_lines(chunk)
+            # one match at most per line; a plain line's label is NA iff it holds TAB NA TAB
+            if len(rows) == len(lines) and "\tNA\t" not in chunk:
+                cells = map(sys.intern, chain.from_iterable(rows))
+                out.extend(map(tuple.__new__, repeat(Tuple), zip(cells, cells, cells)))
+            else:
+                for lineno, raw in enumerate(lines, start=before + 1):
+                    line = raw.rstrip("\n")
+                    if line.lstrip()[:1] not in ("", "#"):     # not blank, not a comment
+                        out.append(parse_tuple_line(line, lineno))
+            before += len(lines)
     return out
 
 
@@ -356,6 +382,9 @@ class collector_paused:
 
 def load_graph(path) -> GraphStore:
     """Read a graph file into a new store, built with the collector paused.
+
+    `read_tuples` splits each chunk of plain lines in one regex pass and reads
+    any other chunk line by line under the same rule; `add_tuple` stores each.
 
     The new store's objects all sit in the collector's youngest generation, so
     the first collections after this returns walk the whole store (the first

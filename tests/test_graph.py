@@ -9,6 +9,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -219,12 +220,16 @@ def test_readers_accept_crlf_endings(tmp_path, reader, text):
 
 def test_a_crlf_graph_takes_the_one_pass_parse(tmp_path, monkeypatch):
     path = tmp_path / "g.tsv"
-    path.write_bytes(b"a\tr\tb\r\n# comment\r\n\r\nx y\ts\tz\r\nlast\tr\tline")
+    path.write_bytes(b"a\tr\tb\r\n" * 9 + b"# comment\r\n\r\nx y\ts\tz\r\n" + b"k\tr\tv\r\n" * 9
+                     + b"last\tr\tline")
     calls = []
     rule = graph_store.identifier
     monkeypatch.setattr(graph_store, "identifier", lambda value: calls.append(value) or rule(value))
-    assert read_tuples(path) == [Tuple("a", "r", "b"), Tuple("x y", "s", "z"), Tuple("last", "r", "line")]
-    assert calls == []
+    for hint in (graph_store._CHUNK_HINT, 16):      # one chunk, then chunks of three lines
+        monkeypatch.setattr(graph_store, "_CHUNK_HINT", hint)
+        assert read_tuples(path) == ([Tuple("a", "r", "b")] * 9 + [Tuple("x y", "s", "z")]
+                                     + [Tuple("k", "r", "v")] * 9 + [Tuple("last", "r", "line")])
+        assert calls == []
 
 
 def test_a_lone_cr_does_not_end_a_graph_line(tmp_path):
@@ -240,6 +245,59 @@ def test_a_lone_cr_does_not_end_a_prediction_line(tmp_path):
     path.write_bytes(f"{record.format('r1')}\r{record.format('r2')}\n".encode())
     [item] = iter_prediction_lines(path)
     assert isinstance(item, PredictionFormatError) and str(item).startswith("line 1: ")
+
+
+# -- a graph file read a chunk at a time -----------------------------------------
+
+_HINT = 100         # characters per chunk in these tests: a few lines each
+_GOOD_ODD = {"comment": "# a comment\n", "blank": "\n", "crlf": "c\tr\td\r\n",
+             "non-ascii": "\u00e9\tr\tb\n"}
+_BAD_ODD = {"NA": "a\tNA\tb\n", "malformed": "a\tb\n"}
+_PLACES = ("first", "middle", "last")
+
+
+def _chunk(i: int, odd: str | None = None, place: str = "middle") -> list[str]:
+    """Lines that `readlines(_HINT)` returns as one chunk, with `odd` as its
+    first line, among its plain lines or as its last: the lines before the last
+    add up to `_HINT` characters exactly, and the last goes past it."""
+    first, middle, last = (odd if place == p else None for p in _PLACES)
+    fill = _HINT - len(first or "") - len(middle or "")
+    sizes = [fill // 4] * 3 + [fill - 3 * (fill // 4)]
+    plain = [f"h{i}_{j}\tr{j % 2}\t" + "t" * (n - len(f"h{i}_{j}") - 5) + "\n"
+             for j, n in enumerate(sizes)]
+    return [*filter(None, [first, *plain[:2], middle, *plain[2:]]), last or plain[0]]
+
+
+def _write_chunks(path: Path, chunks: list[list[str]]) -> None:
+    path.write_bytes("".join(itertools.chain.from_iterable(chunks)).encode())
+    with graph_store.open_input(path) as fh:    # the file splits where the test means it to
+        assert list(iter(lambda: fh.readlines(_HINT), [])) == chunks
+
+
+def test_a_multi_chunk_graph_reads_as_line_by_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_store, "_CHUNK_HINT", _HINT)
+    odd_chunks = [_chunk(i, odd, place)
+                  for i, (odd, place) in enumerate(itertools.product(_GOOD_ODD.values(), _PLACES))]
+    path = tmp_path / "g.tsv"
+    _write_chunks(path, [_chunk(100), *odd_chunks, _chunk(101), ["x\tr\ty"]])   # no LF at the end
+    got = read_tuples(path)
+    assert got == read_tuples_by_rule(path) and len(got) == 66 + 6 + 1   # plain, odd that store, last
+    assert all(type(s) is Tuple for s in got)
+    assert all(sys.intern(x) is x for s in got for x in s)
+    for (name, bad), place in itertools.product(_BAD_ODD.items(), _PLACES):
+        chunks = [_chunk(100), *odd_chunks]
+        chunks.insert(5, _chunk(5, bad, place))
+        _write_chunks(path, chunks)
+        message = _outcome(read_tuples, path)
+        assert message == _outcome(read_tuples_by_rule, path) and message.startswith("line "), (name, place)
+
+
+def test_a_chunk_of_plain_lines_takes_one_regex_pass(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_store, "_CHUNK_HINT", _HINT)
+    monkeypatch.setattr(graph_store, "parse_tuple_line", None)      # never called
+    path = tmp_path / "g.tsv"
+    _write_chunks(path, [_chunk(i) for i in range(3)] + [_chunk(3, _GOOD_ODD["crlf"], "last")])
+    assert read_tuples(path) == read_tuples_by_rule(path)
 
 
 # -- the one-pass parse against the identifier rule ---------------------------
@@ -382,6 +440,8 @@ model_steps = st.one_of(
     st.tuples(st.just("add"), model_tuples),
     st.tuples(st.just("remove"), model_tuples),
     st.tuples(st.just("overlay"), st.lists(model_tuples, max_size=4)),
+    # a new store from a graph file of these lines, None a comment
+    st.tuples(st.just("load"), st.lists(st.one_of(model_tuples, st.none()), max_size=16)),
 )
 
 
@@ -414,6 +474,42 @@ def assert_store_matches(g: GraphStore, model: set) -> None:
         assert (s in g) == (s in model)
 
 
+def _snapshot(g: GraphStore, vertices) -> dict:
+    return {v: (g._out.get(v), g._in.get(v), [list(side) for side in g.sides(v)])
+            for v in vertices}
+
+
+def assert_as_found(g: GraphStore, before: dict) -> None:
+    """Every vertex of a `_snapshot` holds the same entry objects, bare or
+    list, and the same edge objects in the same order."""
+    after = _snapshot(g, before)
+    for v in before:
+        (out, into, sides), (out_now, into_now, sides_now) = before[v], after[v]
+        assert out_now is out and into_now is into, v      # the same entry, bare or list
+        for side, side_now in zip(sides, sides_now):
+            assert len(side_now) == len(side) and all(map(operator.is_, side_now, side)), v
+
+
+def loaded(lines: list) -> GraphStore:
+    """`load_graph` of a file of these lines (None a comment), read a few lines
+    at a time, held to a store that took them by `add_tuple` in file order."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(graph_store, "_CHUNK_HINT", 16):
+        path = Path(tmp) / "g.tsv"
+        path.write_text("".join("# c\n" if s is None else "\t".join(s) + "\n" for s in lines))
+        g = load_graph(path)
+    by_add = GraphStore()
+    for s in filter(None, lines):
+        by_add.add_tuple(s)
+    assert len(g) == len(by_add)
+    for v in MODEL_VERTICES:
+        # the entries `sides(v)` reads: each bare or a list alike, in the same order
+        for held, want in ((g._out.get(v), by_add._out.get(v)), (g._in.get(v), by_add._in.get(v))):
+            assert type(held) is type(want) and held == want, v
+    for r in MODEL_LABELS:
+        assert g.tuples_with_relation(r) == by_add.tuples_with_relation(r)
+    return g
+
+
 @settings(max_examples=150, deadline=None)
 @given(steps=st.lists(model_steps, max_size=12))
 def test_store_indexes_match_a_set_of_tuples(steps):
@@ -425,9 +521,13 @@ def test_store_indexes_match_a_set_of_tuples(steps):
         elif op == "remove":
             assert g.remove_tuple(arg) == (arg in model)
             model.discard(arg)
+        elif op == "load":
+            g, model = loaded(arg), set(filter(None, arg))
         else:
+            before = _snapshot(g, MODEL_VERTICES)
             with g.overlay(arg):
                 assert_store_matches(g, model | set(arg))
+            assert_as_found(g, before)
         assert_store_matches(g, model)
 
 
@@ -450,11 +550,6 @@ def test_one_edge_on_a_side_is_held_bare_and_more_in_a_list():
     assert g._out == {"c": cb} and g._in == {"b": cb}
 
 
-def _snapshot(g: GraphStore, vertices) -> dict:
-    return {v: (g._out.get(v), g._in.get(v), [list(side) for side in g.sides(v)])
-            for v in vertices}
-
-
 def test_an_overlay_leaves_every_vertex_as_it_found_it():
     g = GraphStore()
     for i in range(2_000):
@@ -470,12 +565,7 @@ def test_an_overlay_leaves_every_vertex_as_it_found_it():
         assert len(inserted) == 6 and len(g) == count + 6
         assert g.sides("hub")[0][-2:] == [extra[0], extra[1]]
         assert g._out["p"] == [Tuple("p", "r0", "q"), extra[2]] and g._out["n"] is extra[5]
-    after = _snapshot(g, touched)
-    for v in touched:
-        (out, into, sides), (out_now, into_now, sides_now) = before[v], after[v]
-        assert out_now is out and into_now is into, v      # the same entry, bare or list
-        for side, side_now in zip(sides, sides_now):
-            assert len(side_now) == len(side) and all(map(operator.is_, side_now, side)), v
+    assert_as_found(g, before)
     assert len(g) == count and "n" not in g._out and "m" not in g._in
 
 
