@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from collections import Counter
 from contextlib import contextmanager
 
@@ -28,7 +29,25 @@ from .stream import run as run_stream
 from .validation import ValidationConfig, candidate_embedding, classify
 
 _FILE_IN = click.Path(exists=True, dir_okay=False)
-_FILE_OUT = click.Path(dir_okay=False, writable=True)
+
+
+def _in_a_writable_directory(ctx, param, path):
+    """An output path as given, or a usage error if its directory is missing
+    or not writable. Options are parsed before a command reads any input, so
+    a bad path fails first, not in a traceback once the work is done; click's
+    own `writable` check reads only a file that exists."""
+    if path is not None:
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise click.BadParameter(f"directory {directory!r} does not exist", ctx, param)
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise click.BadParameter(f"directory {directory!r} is not writable", ctx, param)
+    return path
+
+
+# an option that names a file the command writes
+_output_option = functools.partial(click.option, type=click.Path(dir_okay=False, writable=True),
+                                   callback=_in_a_writable_directory)
 
 
 @contextmanager
@@ -111,9 +130,9 @@ def main() -> None:
               help="Accepted for compatibility; has no effect, records are repaired serially.")
 @click.option("--aux-graph", type=_FILE_IN, help="Auxiliary graph TSV for cold labels.")
 @click.option("--label-map", type=_FILE_IN, help="TSV aux_label<TAB>target_label.")
-@click.option("--out-decisions", type=_FILE_OUT, help="Decision log, JSON lines.")
-@click.option("--out-graph", type=_FILE_OUT, help="Enhanced graph TSV.")
-@click.option("--metrics", type=_FILE_OUT, help="Per-slice metrics, JSON lines.")
+@_output_option("--out-decisions", help="Decision log, JSON lines.")
+@_output_option("--out-graph", help="Enhanced graph TSV.")
+@_output_option("--metrics", help="Per-slice metrics, JSON lines.")
 def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_hold,
             workers, aux_graph, label_map, out_decisions, out_graph, metrics):
     """Repair a prediction stream and commit the accepted tuples."""
@@ -198,7 +217,7 @@ def predict_links(graph, tuples_path, vcfg):
 @click.option("--predictions", required=True, type=_FILE_IN)
 @click.option("--rate", type=float, required=True, help="Fraction of records to swap.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=_FILE_OUT, help="Perturbed records; stdout when omitted.")
+@_output_option("--out", help="Perturbed records; stdout when omitted.")
 def inject_errors_cmd(predictions, rate, seed, out):
     """Swap Top-1 and Top-2 labels for a seeded fraction of records."""
     with _usage_errors():

@@ -8,7 +8,6 @@ mislabeled one does not.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from collections import Counter
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .graph_store import GraphFormatError, GraphStore, NA, Tuple, open_input, parse_tuple_line
 from .repair import PredictionRecord, RepairDecision
-from .validation import UNKNOWN, VALID, ValidationConfig, classify
+from .validation import UNKNOWN, VALID, ValidationConfig, blake2b, classify
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class ScoreReport:
 
 
 def _selected(seed: int, record_id: str, rate: float) -> bool:
-    digest = hashlib.blake2b(f"{seed}:{record_id}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{record_id}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2**64 < rate
 
 

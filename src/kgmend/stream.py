@@ -11,7 +11,6 @@ from the enhanced graph, there are no mined rules to maintain.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -28,8 +27,6 @@ from .repair import (
     RepairDecision,
     repair_instance,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -150,7 +147,6 @@ def run(
             log.append(dec)
         committed_before = len(g)
         version = commit(g, decisions)
-        logger.info("slice %d: constraint discovery skipped, support sets are implicit", index)
         results.append(SliceResult(
             index=index,
             counts=counts,

@@ -16,10 +16,14 @@ witness embedding is registered only under the vertices its walks step from.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+
+try:
+    from _blake2 import blake2b     # hashlib's own blake2b, without hashlib loading OpenSSL
+except ImportError:                 # a build without the builtin module
+    from hashlib import blake2b
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
 from .graph_store import GraphStore, NA, Tuple
@@ -71,7 +75,7 @@ class SupportReport:
 def _draw_rng(cfg: ValidationConfig, r: str, exclude: Tuple | None, version: int, realm: str) -> random.Random:
     # sampling must depend only on these inputs, never on which records came before
     material = repr((cfg.seed, r, exclude, version, realm)).encode()
-    digest = hashlib.blake2b(material, digest_size=8).digest()
+    digest = blake2b(material, digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 

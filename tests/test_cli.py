@@ -338,6 +338,49 @@ def test_a_value_error_past_the_inputs_is_not_a_usage_error(runner, tmp_path, mo
     assert result.exit_code == 1 and isinstance(result.exception, ValueError)
 
 
+ENHANCE_OUTPUTS = ("--out-decisions", "--out-graph", "--metrics")
+
+
+@pytest.mark.parametrize("option", ENHANCE_OUTPUTS)
+def test_enhance_output_in_a_missing_directory_exits_two_before_any_work(
+        runner, tmp_path, monkeypatch, option):
+    # checked while options are parsed: no graph is loaded and no output is
+    # written, where the run used to end in a traceback after writing the others
+    monkeypatch.setattr(cli, "load_graph", lambda *args: pytest.fail("the graph was loaded"))
+    outputs = {name: tmp_path / f"{name[2:]}.out" for name in ENHANCE_OUTPUTS}
+    outputs[option] = tmp_path / "missing" / "out"
+    args = _every_command(tmp_path)["enhance"]
+    result = runner.invoke(main, args + [a for name, path in outputs.items() for a in (name, str(path))])
+    assert result.exit_code == 2, result.output
+    assert option in result.stderr and "does not exist" in result.stderr
+    assert not any(path.exists() for path in outputs.values())
+
+
+def test_inject_errors_out_in_a_missing_directory_exits_two_before_reading(
+        runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "read_predictions", lambda *args: pytest.fail("the input was read"))
+    args = _every_command(tmp_path)["inject-errors"]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "out.jsonl")])
+    assert result.exit_code == 2 and "does not exist" in result.stderr
+
+
+def test_an_output_directory_that_is_not_writable_exits_two(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "load_graph", lambda *args: pytest.fail("the graph was loaded"))
+    readable = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: not mode & os.W_OK and readable(path, mode))
+    args = _every_command(tmp_path)["enhance"]
+    result = runner.invoke(main, args + ["--out-graph", str(tmp_path / "out.tsv")])
+    assert result.exit_code == 2 and "is not writable" in result.stderr
+
+
+def test_an_output_file_in_the_working_directory_is_accepted(runner, tmp_path, monkeypatch):
+    args = _every_command(tmp_path)["enhance"]
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args + ["--out-graph", "out.tsv"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out.tsv").exists()
+
+
 def test_version_is_the_package_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output

@@ -192,6 +192,33 @@ def test_save_load_roundtrip_is_canonical(tmp_path):
     assert set(load_graph(path).all_tuples()) == set(g.all_tuples())
 
 
+# cells that share prefixes, hold the control characters `identifier` keeps
+# (\x00-\x08 are not whitespace), or are not ASCII: where an order by string
+# keys and Tuple order could part
+_SORT_TOKENS = ["a", "ab", "b", "A", "~", "\x00", "\x01", "\x08", "\u00e9", "\u00df", "\u4e00",
+                "\U0001f600"]
+_SORT_CELL = st.lists(st.sampled_from(_SORT_TOKENS), min_size=1, max_size=3).map("".join)
+_SORT_TUPLE = st.builds(Tuple, _SORT_CELL, st.one_of(st.sampled_from(["r", "r\x00", "ra"]), _SORT_CELL),
+                        _SORT_CELL)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tuples=st.lists(_SORT_TUPLE, max_size=40))
+def test_canonical_orders_are_tuple_order(tuples):
+    # `tuples_with_relation` and `save_graph` sort by string keys in stable
+    # passes; both must give exactly what `sorted` gives by comparing Tuples
+    g = GraphStore()
+    for s in tuples:
+        g.add_tuple(s)
+    for r in {s.relation for s in tuples}:
+        assert g.tuples_with_relation(r) == sorted(s for s in set(tuples) if s.relation == r)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        save_graph(g, path)
+        written = path.read_text(encoding="utf-8")
+    assert written == "".join(f"{s.head}\t{s.relation}\t{s.tail}\n" for s in sorted(set(tuples)))
+
+
 _BOM_INPUTS = {
     "graph": (read_tuples, "a\tr\tb\nb\ts\tc\n"),
     "predictions": (lambda path: list(iter_prediction_lines(path)),

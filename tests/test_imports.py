@@ -8,9 +8,15 @@ elsewhere that uses it turns it into an interface nobody declared.
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kgmend
+from kgmend import evalkit, validation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kgmend"
 
@@ -200,3 +206,25 @@ class Store:
 '''
     assert _adjacency_reads(source) == [
         "7: degree: self._out", "10: edges_from: self._out", "15: vertices: self._in"]
+
+
+# Modules the package must not load. `hashlib` maps OpenSSL's libcrypto (3.6 MB
+# of resident memory with CPython 3.11 on Linux x86-64) only to hand out the
+# blake2b that CPython builds in, and the package has nothing to log.
+UNLOADED = ("hashlib", "_hashlib", "logging")
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_logging():
+    # a fresh interpreter: this test process has loaded both already
+    probe = (f"import json, sys; import kgmend.cli; "
+             f"print(json.dumps(sorted(set({UNLOADED!r}) & set(sys.modules))))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def test_the_draws_blake2b_is_hashlibs():
+    # the same object, so every digest and sampled center is the one hashlib gives
+    assert validation.blake2b is hashlib.blake2b
+    assert evalkit.blake2b is hashlib.blake2b

@@ -168,12 +168,15 @@ def test_commit_absorbs_duplicates_and_bumps_version():
     assert len(g) == 6
 
 
-def test_discovery_is_a_logged_noop(caplog):
+def test_run_emits_no_log_record(caplog):
+    # constraint discovery is a no-op and says so in the module docstring,
+    # not in a log line per slice
     g = head_context_graph()
     g.add_tuple(Tuple("h0", "q", "hx0"))
-    with caplog.at_level(logging.INFO, logger="kgmend.stream"):
-        run(g, [rec("n1", "h0", "t0", ("r", 0.9))], rcfg())
-    assert any("discovery" in message for message in caplog.messages)
+    with caplog.at_level(logging.DEBUG):
+        run(g, [rec("n1", "h0", "t0", ("r", 0.9)), rec("n2", "h1", "t1", ("r", 0.9))], rcfg(),
+            slice_size=1)
+    assert caplog.records == []
 
 
 def _counted(records, pulled):
