@@ -21,8 +21,7 @@ from .repair import (
     iter_prediction_lines,
     predict_link,
     read_predictions,
-    write_decisions,
-    write_predictions,
+    write_json_lines,
 )
 from .stream import integrate_aux, load_label_map
 from .stream import run as run_stream
@@ -149,16 +148,14 @@ def enhance(graph, predictions, vcfg, k, p_th, slice_size, unknown_policy, max_h
     stream = iter_prediction_lines(predictions)
     log, results = run_stream(g, stream, cfg, slice_size=slice_size)
     if out_decisions:
-        write_decisions(log, out_decisions)
+        write_json_lines(log, out_decisions)
     else:
         for dec in log:
             click.echo(dec.to_json())
     if out_graph:
         save_graph(g, out_graph)
     if metrics:
-        with open(metrics, "w", encoding="utf-8") as fh:
-            for res in results:
-                fh.write(res.to_json() + "\n")
+        write_json_lines(results, metrics)
     counts = Counter(dec.status for dec in log)
     summary = ", ".join(f"{status}: {n}" for status, n in sorted(counts.items()))
     click.echo(f"records: {len(log)} ({summary or 'none'})", err=True)
@@ -223,7 +220,7 @@ def inject_errors_cmd(predictions, rate, seed, out):
     with _usage_errors():
         perturbed = inject_errors(read_predictions(predictions), rate, seed)
     if out:
-        write_predictions(perturbed, out)
+        write_json_lines(perturbed, out)
     else:
         for rec in perturbed:
             click.echo(rec.to_json())

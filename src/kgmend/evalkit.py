@@ -13,7 +13,8 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .graph_store import GraphFormatError, GraphStore, NA, Tuple, open_input, parse_tuple_line
+from .graph_store import (GraphFormatError, GraphStore, NA, Tuple, data_lines, open_input, split_cells,
+                          storable_tuple)
 from .repair import PredictionRecord, RepairDecision
 from .validation import UNKNOWN, VALID, ValidationConfig, blake2b, classify
 
@@ -214,15 +215,9 @@ def read_labeled_facts(path) -> list[tuple[Tuple, bool]]:
     """TSV `head<TAB>relation<TAB>tail<TAB>flag` with flag 1 (true) or 0 (false)."""
     facts = []
     with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise GraphFormatError(f"line {lineno}: expected 4 tab-separated fields")
-            fact = parse_tuple_line("\t".join(parts[:3]), lineno)
-            flag = parts[3].strip()
+        for lineno, line in data_lines(fh):
+            *cells, flag = split_cells(line, lineno, ("head", "relation", "tail", "flag"))
+            fact = storable_tuple(cells, lineno)
             if flag not in ("0", "1"):
                 raise GraphFormatError(f"line {lineno}: flag must be 1 or 0, got {flag!r}")
             facts.append((fact, flag == "1"))

@@ -298,39 +298,46 @@ def identifier(value: str) -> str:
     return v
 
 
-# A cell `identifier` returns unchanged, recognised in the same regex pass as
-# the line's other two: printable ASCII, not led by `#` or a space, and not
-# ending in one. The CR of a CRLF ending, which `identifier` strips, may follow.
+# A cell `identifier` returns unchanged: printable ASCII, not led by `#` or a
+# space, and not ending in one. The CR of a CRLF ending, which `identifier`
+# strips, may follow the line's last cell.
 _PLAIN_CELL = r'([!"$-~][ -~]*(?<! ))'
-_PLAIN_LINE = "\t".join([_PLAIN_CELL] * 3) + "\r?"
-_plain_cells = re.compile(_PLAIN_LINE).fullmatch
-_plain_lines = re.compile(f"^{_PLAIN_LINE}$", re.M).findall    # each line of a chunk
+_plain_lines = re.compile("^" + "\t".join([_PLAIN_CELL] * 3) + "\r?$", re.M).findall
 _CHUNK_HINT = 1 << 16           # characters of whole lines per chunk: `readlines`' hint
 
 
-def parse_tuple_line(line: str, lineno: int) -> Tuple:
-    """`head<TAB>relation<TAB>tail` as a Tuple of interned strings.
+def data_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, str]]:
+    """`(lineno, line)`, its LF stripped, for each of `lines` that is neither
+    blank nor led by `#`, numbered from `start`: every TSV input's line rule."""
+    for lineno, raw in enumerate(lines, start):
+        line = raw.rstrip("\n")
+        if line.lstrip()[:1] not in ("", "#"):
+            yield lineno, line
 
-    A plain line, CRLF ending included, is checked in one pass. Any other
-    (non-ASCII, an inner CR, or a blank, `#`-led or padded cell) goes through
-    `identifier` cell by cell, which stays the one definition of the rule.
-    NA and the field count are checked on every line.
-    """
-    plain = _plain_cells(line)
-    if plain is not None:
-        head, relation, tail = plain.groups()
-    else:
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(parts)} fields")
-        try:
-            head, relation, tail = identifier(parts[0]), identifier(parts[1]), identifier(parts[2])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: {exc}") from None
+
+def split_cells(line: str, lineno: int, fields: Sequence[str]) -> list[str]:
+    """The line's TAB-separated cells, one per name in `fields`, each through
+    `identifier`, or `GraphFormatError("line N: ...")`: every TSV input's cell rule."""
+    cells = line.split("\t")
+    if len(cells) != len(fields):
+        raise GraphFormatError(f"line {lineno}: expected {'<TAB>'.join(fields)}, got {len(cells)} fields")
+    try:
+        return [identifier(cell) for cell in cells]
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
+
+
+def parse_tuple_line(line: str, lineno: int) -> Tuple:
+    """`head<TAB>relation<TAB>tail` as a Tuple of interned strings."""
+    return storable_tuple(split_cells(line, lineno, ("head", "relation", "tail")), lineno)
+
+
+def storable_tuple(cells: Iterable[str], lineno: int) -> Tuple:
+    """Checked head, relation and tail cells as a Tuple of interned strings, unless the label is NA."""
+    head, relation, tail = map(sys.intern, cells)
     if relation == NA:
         raise GraphFormatError(f"line {lineno}: relation label NA is not storable")
-    # tuple.__new__ skips the NamedTuple's Python-level __new__, once per line
-    return tuple.__new__(Tuple, (sys.intern(head), sys.intern(relation), sys.intern(tail)))
+    return Tuple(head, relation, tail)
 
 
 def open_input(path):
@@ -356,10 +363,7 @@ def read_tuples(path) -> list[Tuple]:
                 cells = map(sys.intern, chain.from_iterable(rows))
                 out.extend(map(tuple.__new__, repeat(Tuple), zip(cells, cells, cells)))
             else:
-                for lineno, raw in enumerate(lines, start=before + 1):
-                    line = raw.rstrip("\n")
-                    if line.lstrip()[:1] not in ("", "#"):     # not blank, not a comment
-                        out.append(parse_tuple_line(line, lineno))
+                out.extend(parse_tuple_line(line, lineno) for lineno, line in data_lines(lines, before + 1))
             before += len(lines)
     return out
 

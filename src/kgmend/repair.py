@@ -279,13 +279,11 @@ def read_predictions(path) -> list[PredictionRecord]:
     return records
 
 
-def write_predictions(records, path) -> None:
+def write_json_lines(items, path) -> None:
+    """Write each item's `to_json()`, a record, decision or slice result, on a line of its own."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+        for item in items:
+            fh.write(item.to_json() + "\n")
 
 
-def write_decisions(decisions, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for dec in decisions:
-            fh.write(dec.to_json() + "\n")
+write_predictions = write_json_lines     # the name callers outside the package import

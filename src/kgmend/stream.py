@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .graph_store import (GraphFormatError, GraphStore, NA, Tuple, collector_paused, identifier,
-                          open_input, read_tuples)
+from .graph_store import (GraphFormatError, GraphStore, NA, Tuple, collector_paused, data_lines,
+                          open_input, read_tuples, split_cells)
 from .repair import (
     ACCEPTED,
     HELD,
@@ -53,17 +53,8 @@ def load_label_map(path) -> dict[str, str]:
     """TSV `aux_label<TAB>target_label`, one line per aux label; NA is absent."""
     mapping: dict[str, str] = {}
     with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected aux<TAB>target")
-            try:
-                aux, target = identifier(parts[0]), identifier(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
+        for lineno, line in data_lines(fh):
+            aux, target = split_cells(line, lineno, ("aux_label", "target_label"))
             if aux in mapping:
                 raise GraphFormatError(f"line {lineno}: aux label {aux!r} is mapped twice")
             mapping[aux] = target

@@ -395,8 +395,9 @@ def reference_repair_tuple(g: GraphStore, rec, cfg, context_ignore: frozenset = 
 def tuple_by_rule(line: str, lineno: int) -> Tuple:
     """One graph line read with `identifier` on every cell.
 
-    The reference for `kgmend.graph_store.parse_tuple_line`, whose plain lines
-    skip `identifier`: the same Tuple, or the same `GraphFormatError` message.
+    The reference for `kgmend.graph_store.parse_tuple_line`, and through it for
+    `read_tuples`, whose chunks of plain lines skip `identifier`: the same
+    Tuple, or the same `GraphFormatError` message.
     """
     cells = line.split("\t")
     if len(cells) != 3:

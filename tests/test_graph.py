@@ -227,6 +227,7 @@ _BOM_INPUTS = {
     "label-map": (load_label_map, "x\tr\ny\ts\n"),
     "labeled-facts": (read_labeled_facts, "a\tr\tb\t1\nc\ts\td\t0\n"),
 }
+_TSV_INPUTS = ("graph", "label-map", "labeled-facts")
 
 
 @pytest.mark.parametrize("reader, text", _BOM_INPUTS.values(), ids=_BOM_INPUTS)
@@ -245,18 +246,43 @@ def test_readers_accept_crlf_endings(tmp_path, reader, text):
     assert reader(lf) and reader(crlf) == reader(lf)
 
 
-def test_a_crlf_graph_takes_the_one_pass_parse(tmp_path, monkeypatch):
-    path = tmp_path / "g.tsv"
-    path.write_bytes(b"a\tr\tb\r\n" * 9 + b"# comment\r\n\r\nx y\ts\tz\r\n" + b"k\tr\tv\r\n" * 9
-                     + b"last\tr\tline")
+def test_a_plain_crlf_graph_takes_the_one_pass_parse(tmp_path, monkeypatch):
+    plain, mixed = tmp_path / "plain.tsv", tmp_path / "mixed.tsv"
+    plain.write_bytes(b"a\tr\tb\r\n" * 9 + b"k\tr\tv\r\n" * 9 + b"last\tr\tline")
+    mixed.write_bytes(b"a\tr\tb\r\n" * 9 + b"# comment\r\n\r\nx y\ts\tz\r\n" + b"k\tr\tv\r\n" * 9
+                      + b"last\tr\tline")
     calls = []
     rule = graph_store.identifier
     monkeypatch.setattr(graph_store, "identifier", lambda value: calls.append(value) or rule(value))
     for hint in (graph_store._CHUNK_HINT, 16):      # one chunk, then chunks of three lines
         monkeypatch.setattr(graph_store, "_CHUNK_HINT", hint)
-        assert read_tuples(path) == ([Tuple("a", "r", "b")] * 9 + [Tuple("x y", "s", "z")]
-                                     + [Tuple("k", "r", "v")] * 9 + [Tuple("last", "r", "line")])
+        calls.clear()
+        assert read_tuples(plain) == ([Tuple("a", "r", "b")] * 9 + [Tuple("k", "r", "v")] * 9
+                                      + [Tuple("last", "r", "line")])
         assert calls == []
+        assert read_tuples(mixed) == ([Tuple("a", "r", "b")] * 9 + [Tuple("x y", "s", "z")]
+                                      + [Tuple("k", "r", "v")] * 9 + [Tuple("last", "r", "line")])
+
+
+# a cell that breaks the identifier rule, in a line's second field: a first
+# cell led by `#` would make the line a comment
+_BAD_CELLS = {"empty": b"", "hash-led": b"#x", "inner-cr": b"x\ry", "not-utf8": b"\xff"}
+
+
+@pytest.mark.parametrize("reader, text", [_BOM_INPUTS[name] for name in _TSV_INPUTS], ids=_TSV_INPUTS)
+@pytest.mark.parametrize("bad", _BAD_CELLS.values(), ids=_BAD_CELLS)
+def test_every_tsv_reader_numbers_lines_and_checks_cells_alike(tmp_path, reader, text, bad):
+    # a comment, a blank line and a CRLF line, then the bad cell on line 4
+    good = text.encode().split(b"\n")[0]
+    cells = good.split(b"\t")
+    cells[1] = bad
+    path = tmp_path / "input.tsv"
+    path.write_bytes(b"# a comment\n\n" + good + b"\r\n" + b"\t".join(cells) + b"\n")
+    with pytest.raises(ValueError) as rule:
+        graph_store.identifier(bad.decode("utf-8", errors="surrogateescape"))
+    with pytest.raises(GraphFormatError) as exc:
+        reader(path)
+    assert str(exc.value) == f"line 4: {rule.value}"
 
 
 def test_a_lone_cr_does_not_end_a_graph_line(tmp_path):
