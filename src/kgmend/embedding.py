@@ -10,9 +10,10 @@ label plus the l side labels; the count is the number of distinct walk pairs
 producing it.
 
 The walks step over the adjacency that `extract_pattern`'s BFS recorded for
-the vertices within l - 1 of an endpoint; the tables of walks from a vertex
-are memoised on the pattern, and a one-step table only counts labels. The
-walks never read the center label, so a pattern relabeled with another
+the vertices within l - 2 of an endpoint, and end at the ring (depth l - 1)
+with the one-step tables the BFS counted there; the tables of walks from a
+vertex are memoised on the pattern, and a one-step table only counts labels.
+The walks never read the center label, so a pattern relabeled with another
 center label reuses them.
 
 Two canonicalizations: "sorted" (default, lexicographic sort of the whole
@@ -50,7 +51,8 @@ class PathEmbedding:
 def _walks(adj: dict, memo: dict, v: str, steps: int) -> dict:
     """Label sequence -> number of distinct walks of `steps` edges from v over
     `adj`, memoised in `memo` by (v, steps). A one-step table counts the
-    labels of v's steps, so a walk's last vertex needs no adjacency entry."""
+    labels of v's steps, so a walk's last vertex needs no adjacency entry,
+    and a ring vertex's table is in `memo` already."""
     found = memo.get((v, steps))
     if found is None:
         found = {}
@@ -71,7 +73,7 @@ def _walks(adj: dict, memo: dict, v: str, steps: int) -> dict:
 
 def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbedding:
     """Compute the path embedding of pattern p at walk budget l, over the
-    walk adjacency its BFS recorded.
+    walk adjacency and ring tables its BFS recorded.
 
     Requires 1 <= l <= p.radius so every enumerated walk stays inside the
     pattern. A pattern holding only its center edge embeds to the empty

@@ -161,7 +161,7 @@ class GraphStore:
 
     def cache_embedding(self, key, embedding, vertices: Iterable[str]) -> None:
         """Cache a witness embedding that reads only the edges at `vertices`
-        (a pattern's adjacency keys); `key` must not be cached already."""
+        (a pattern's adjacency keys and ring); `key` must not be cached already."""
         self.embedding_cache[key] = embedding
         self._cached_under[key] = vertices = tuple(vertices)
         index = self._cache_keys

@@ -140,8 +140,10 @@ def test_radius_monotone(seed, l):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), star=st.booleans(), l=st.integers(1, 3))
 def test_pattern_adjacency_matches_the_reference(seed, star, l):
-    """The BFS's walk adjacency holds, for each vertex within l - 1 of an
-    endpoint and no other, the steps the pattern's edges give it."""
+    """The BFS's walk adjacency holds, for each vertex within l - 2 of an
+    endpoint (the endpoints at l = 1) and no other, the steps the pattern's
+    edges give it. The ring, the vertices at depth l - 1, has no adjacency
+    entry: its walk memo holds the label counts of those steps instead."""
     rng = random.Random(seed)
     if star:
         g = hub_graph(rng, rng.randint(50, 300))
@@ -150,9 +152,14 @@ def test_pattern_adjacency_matches_the_reference(seed, star, l):
     center = center_with_parallels(rng, g)
     p = extract_pattern(g, center, l)
     reference = side_adjacency(p)
-    assert set(p.adjacency) == _ball_oracle(g, center, l - 1)
+    assert set(p.adjacency) | set(p.ring) == _ball_oracle(g, center, l - 1)
+    assert set(p.adjacency) == _ball_oracle(g, center, max(l - 2, 0))
+    assert not set(p.adjacency) & set(p.ring)
+    assert l > 1 or p.ring == ()
     for v, steps in p.adjacency.items():
         assert Counter(steps) == Counter(reference[v]), v
+    for x in p.ring:
+        assert p.walks[x, 1] == Counter((label,) for label, _ in reference[x]), x
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -157,6 +157,38 @@ def test_hold_counter_expires():
     assert all(h == 0 for h in retried[2:])
 
 
+def test_no_record_pays_for_its_top1_labels_sort(monkeypatch):
+    """Each snapshot sorts its instance labels at the overlay: every
+    `repair_tuple` call, a held record's retry in the next slice included,
+    finds its Top-1 label's order built. A label seen only behind a passing
+    Top-1 is never sampled, so it stays unsorted."""
+    g = GraphStore()
+    for label in ("r", "s", "alt"):
+        for i in range(6):
+            g.add_tuple(Tuple(f"{label}h{i}", label, f"{label}t{i}"))
+            g.add_tuple(Tuple(f"{label}h{i}", "q", f"{label}x{i}"))
+    g.add_tuple(Tuple("u", "q", "w"))
+    stream = [
+        rec("pass-r", "u", "v", ("r", 0.9), ("alt", 0.1)),
+        rec("cold", "h", "t", ("r", 0.9)),      # fresh entities: held, retried in slice 2
+        rec("pass-s", "u", "v2", ("s", 0.8), ("alt", 0.2)),
+    ]
+    seen = []
+    repair_tuple = repair.repair_tuple
+
+    def checked(g, record, cfg, context_ignore=frozenset()):
+        seen.append((record.id, record.candidates[0][0] in g._relation_order))
+        return repair_tuple(g, record, cfg, context_ignore)
+
+    monkeypatch.setattr(repair, "repair_tuple", checked)
+    log, results = run(g, stream, rcfg(), slice_size=2)
+    assert [r.counts["Held"] for r in results] == [1, 1]
+    assert {d.id: d.status for d in log} == {"pass-r": "Accepted", "cold": "Held",
+                                             "pass-s": "Accepted"}
+    assert seen == [("pass-r", True), ("cold", True), ("cold", True), ("pass-s", True)]
+    assert "alt" not in g._relation_order
+
+
 def test_commit_absorbs_duplicates_and_bumps_version():
     g = tail_context_graph()
     v0 = g.version

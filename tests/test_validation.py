@@ -349,15 +349,17 @@ def _read_witnesses(g: GraphStore, cfgs: list[ValidationConfig]) -> None:
 def _assert_cache_coherent(g: GraphStore) -> None:
     """Every cached entry is what a fresh build gives now, and the reverse
     index registers each live key under the vertices its walks step from (its
-    pattern's adjacency keys, those within l - 1 of an endpoint) and nothing else."""
+    pattern's adjacency keys plus its ring, those within l - 1 of an endpoint)
+    and nothing else."""
     assert set(g._cached_under) == set(g.embedding_cache)
     expected = set()
     for key, cached in g.embedding_cache.items():
         center, l, mode = key
         pattern = extract_pattern(g, center, l)
         assert cached == traverse_r(pattern, l, mode)
-        assert sorted(g._cached_under[key]) == sorted(pattern.adjacency)
-        expected |= {(v, key) for v in pattern.adjacency}
+        registered = [*pattern.adjacency, *pattern.ring]
+        assert sorted(g._cached_under[key]) == sorted(registered)
+        expected |= {(v, key) for v in registered}
     assert cache_registrations(g) == expected
     assert all(g._cache_keys.values())
     for (label, l, mode), index in g.postings.items():
@@ -418,6 +420,27 @@ def test_an_edge_between_rim_vertices_keeps_the_cached_witness(l):
     _assert_cache_coherent(g)
     assert g.add_tuple(Tuple("h", "q", rim[0]))            # an edge at an endpoint evicts
     assert (center, l, cfg.mode) not in g.embedding_cache
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_an_edge_at_a_ring_vertex_evicts_the_cached_witness(l):
+    """The walks read a ring vertex (depth l - 1) through its label counts, so
+    the entry is registered under it too: a new edge there evicts it, and the
+    rebuilt embedding counts the new label."""
+    g = GraphStore()
+    for a, b, c in (("h", "x1", "x2"), ("t", "y1", "y2")):
+        g.add_tuple(Tuple(a, "s", b))
+        g.add_tuple(Tuple(b, "s", c))
+    center = Tuple("h", "r", "t")
+    g.add_tuple(center)
+    cfg = ValidationConfig(l=l)
+    cached = witness_embedding(g, center, cfg)
+    ring = extract_pattern(g, center, l).ring
+    assert sorted(ring) == (["x1", "y1"] if l == 2 else ["x2", "y2"])
+    assert g.add_tuple(Tuple(ring[0], "q", "fresh"))
+    assert (center, l, cfg.mode) not in g.embedding_cache
+    _assert_cache_coherent(g)
+    assert witness_embedding(g, center, cfg) != cached
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
