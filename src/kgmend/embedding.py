@@ -9,12 +9,11 @@ would otherwise be counted from both sides). Each sequence carries the center
 label plus the l side labels; the count is the number of distinct walk pairs
 producing it.
 
-The walks step over the adjacency that `extract_pattern`'s BFS recorded for
-the vertices within l - 2 of an endpoint, and end at the ring (depth l - 1)
-with the one-step tables the BFS counted there; the tables of walks from a
-vertex are memoised on the pattern, and a one-step table only counts labels.
-The walks never read the center label, so a pattern relabeled with another
-center label reuses them.
+The walks read the store's own edges around the pattern's endpoints; no
+copy of them is made. The tables of walks from a vertex are memoised on the
+pattern, and a one-step table at a vertex other than an endpoint only counts
+its labels. The walks never read the center label, so a pattern relabeled
+with another center label reuses them.
 
 Two canonicalizations: "sorted" (default, lexicographic sort of the whole
 sequence) and "positional" (head walk reversed, then center, then tail walk,
@@ -27,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .graph_store import GraphStore
 from .patterns import LocalizedPattern
 
 MODES = ("sorted", "positional")
@@ -48,32 +48,53 @@ class PathEmbedding:
         return not self.counts
 
 
-def _walks(adj: dict, memo: dict, v: str, steps: int) -> dict:
+def _walks(g: GraphStore, ends: dict, memo: dict, v: str, steps: int) -> dict:
     """Label sequence -> number of distinct walks of `steps` edges from v over
-    `adj`, memoised in `memo` by (v, steps). A one-step table counts the
-    labels of v's steps, so a walk's last vertex needs no adjacency entry,
-    and a ring vertex's table is in `memo` already."""
+    g's edges, memoised in `memo` by (v, steps). `ends` maps each center
+    endpoint to the other, and an edge joining them is never a step. Any
+    other vertex bans nothing, so its one-step table counts the labels of its
+    edges, a loop once. Every other table reads v's steps, listed once in
+    `memo[v, None]`."""
     found = memo.get((v, steps))
     if found is None:
         found = {}
         if steps == 0:
             found[()] = 1
-        elif steps == 1:
-            for label, _ in adj[v]:
-                key = (label,)
-                found[key] = found.get(key, 0) + 1
+        elif steps == 1 and v not in ends:
+            counts: dict = {}
+            out, into = g.sides(v)
+            for s in out:
+                counts[s.relation] = counts.get(s.relation, 0) + 1
+            for s in into:
+                if s.head != v:
+                    counts[s.relation] = counts.get(s.relation, 0) + 1
+            for label, n in counts.items():     # a loop costs less than a comprehension here
+                found[label,] = n
         else:
-            for label, other in adj[v]:
-                for seq, n in _walks(adj, memo, other, steps - 1).items():
-                    key = (label,) + seq
-                    found[key] = found.get(key, 0) + n
+            listed = memo.get((v, None))
+            if listed is None:
+                banned = ends.get(v)            # the far endpoint, or None
+                out, into = g.sides(v)
+                listed = [(s.relation, s.tail) for s in out if s.tail != banned]
+                # a loop at v came out of `out` already
+                listed += [(s.relation, s.head) for s in into if s.head != v and s.head != banned]
+                memo[v, None] = listed
+            if steps == 1:
+                for label, _ in listed:
+                    key = (label,)
+                    found[key] = found.get(key, 0) + 1
+            else:
+                for label, other in listed:
+                    for seq, n in _walks(g, ends, memo, other, steps - 1).items():
+                        key = (label,) + seq
+                        found[key] = found.get(key, 0) + n
         memo[v, steps] = found
     return found
 
 
 def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbedding:
-    """Compute the path embedding of pattern p at walk budget l, over the
-    walk adjacency and ring tables its BFS recorded.
+    """Compute the path embedding of pattern p at walk budget l, walking the
+    store's edges around its endpoints.
 
     Requires 1 <= l <= p.radius so every enumerated walk stays inside the
     pattern. A pattern holding only its center edge embeds to the empty
@@ -83,12 +104,13 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
         raise ValueError(f"need 1 <= l <= pattern radius, got l={l}, radius={p.radius}")
     if mode not in MODES:
         raise ValueError(f"unknown canonicalization mode {mode!r}")
-    adj, memo = p.adjacency, p.walks
-    center = p.center.relation
+    g, memo = p.store, p.walks
+    head, center, tail = p.center
+    ends = {head: tail, tail: head}
     counts: dict = {}
     for a in range(l + 1):
-        for head_seq, hn in _walks(adj, memo, p.center.head, a).items():
-            for tail_seq, tn in _walks(adj, memo, p.center.tail, l - a).items():
+        for head_seq, hn in _walks(g, ends, memo, head, a).items():
+            for tail_seq, tn in _walks(g, ends, memo, tail, l - a).items():
                 if mode == "sorted":
                     key = tuple(sorted((center,) + head_seq + tail_seq))
                 else:

@@ -5,8 +5,8 @@ else, and all three hold the same stored Tuple objects: every query returns
 those objects and builds none. Degrees, vertices and the edge count are
 derived from the indexes when asked for. Beside them sit three read caches:
 each label's sorted occurrences, the path embeddings of stored witness
-patterns with, for every vertex, the cached embeddings whose walks step from
-it, and, until the next write, the scan's posting indexes (built by
+patterns with, for every vertex, the cached embeddings whose walks read its
+edges, and, until the next write, the scan's posting indexes (built by
 `validation`). Set semantics, which the relation index's sets keep: the same
 tuple is never stored twice, but parallel edges with different labels between
 the same endpoints are fine.
@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 NA = "NA"
 
@@ -160,8 +160,8 @@ class GraphStore:
                     del self._cache_keys[w]
 
     def cache_embedding(self, key, embedding, vertices: Iterable[str]) -> None:
-        """Cache a witness embedding that reads only the edges at `vertices`
-        (a pattern's adjacency keys and ring); `key` must not be cached already."""
+        """Cache a witness embedding under `vertices`, the vertices whose edges
+        the walks read; `key` must not be cached already."""
         self.embedding_cache[key] = embedding
         self._cached_under[key] = vertices = tuple(vertices)
         index = self._cache_keys
@@ -232,11 +232,6 @@ class GraphStore:
         and never mutates them. A loop at v is in both.
         """
         return _edges(self._out, v), _edges(self._in, v)
-
-    def edges_from(self, heads: Iterable[str], tails: Container[str]) -> list[Tuple]:
-        """Edges from a vertex in `heads` to a vertex in `tails`. One call
-        covers many heads, where `sides` takes a call per vertex."""
-        return [s for v in heads for s in _edges(self._out, v) if s.tail in tails]
 
     def incident(self, v: str) -> Iterator[Tuple]:
         yield from _edges(self._out, v)

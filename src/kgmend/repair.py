@@ -202,7 +202,7 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     # escalation in a snapshot builds its posting index; deciding them all keeps those
     # builds in a snapshot's first few failing records, where stopping at the winner
     # spreads them over one record per label and lengthens the per-record latency tail.
-    # Top-1's candidate pattern, relabeled, serves the other labels: one BFS per record.
+    # Top-1's candidate pattern, relabeled, serves the other labels: one walk memo per record.
     def link(g, h, t, r, vcfg) -> float:
         if r not in evidence:
             s = Tuple(h, r, t)

@@ -9,10 +9,10 @@ write, since a witness must share a sequence with the candidate. With no
 support, committed edges around the candidate's endpoints decide between
 Invalid and Unknown.
 
-A check reads a pattern's walk adjacency and ring tables and nothing else of
-it. A record's labels share one candidate pattern, relabeled per label, and a
-cached witness embedding is registered only under the vertices its walks step
-from: the pattern's adjacency keys and its ring.
+A check walks the store around the candidate's endpoints and copies none of
+it. A record's labels share one candidate pattern, relabeled per label, and
+so its walk tables. A cached witness embedding is registered only under the
+vertices whose edges its walks read, those within l - 1 of an endpoint.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig,
 
     `like`, the pattern of another label over the same endpoints and the same
     snapshot, is relabeled, not rebuilt: walks never step over an edge
-    between the endpoints, so its adjacency and walk tables hold for s too.
+    between the endpoints, so its walk tables hold for s too.
     """
     if like is None:
         pattern = extract_pattern(g, s, cfg.l)
@@ -132,16 +132,15 @@ def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig,
 
 def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) -> PathEmbedding:
     """Embedding of a stored occurrence, cached on its store until an edge is
-    added or removed at a vertex its walks step from (within l - 1 of an
-    endpoint: the pattern's adjacency keys and its ring, whose label counts
-    the walks read). No other edge is walked, nor can it bring a vertex that
-    close."""
+    added or removed at a vertex whose edges its walks read: those with a
+    walk table of one step or more, the vertices within l - 1 of an
+    endpoint. No other edge is walked, nor can it bring a vertex that close."""
     key = (center, cfg.l, cfg.mode)
     cached = source.embedding_cache.get(key)
     if cached is None:
         pattern = extract_pattern(source, center, cfg.l)
         cached = traverse_r(pattern, cfg.l, cfg.mode)
-        source.cache_embedding(key, cached, [*pattern.adjacency, *pattern.ring])
+        source.cache_embedding(key, cached, dict.fromkeys(v for v, steps in pattern.walks if steps))
     return cached
 
 

@@ -59,8 +59,8 @@ def _pattern_adjacency(p: LocalizedPattern):
 
 def side_adjacency(p: LocalizedPattern) -> dict[str, list[tuple[str, str]]]:
     """Undirected adjacency over pattern edges, minus center-endpoint parallels:
-    the reference for `LocalizedPattern.adjacency`, which lists the same steps
-    for the vertices within l - 1 of an endpoint."""
+    the reference for the steps `traverse_r` lists and counts at the vertices
+    within l - 1 of an endpoint."""
     h, t = p.center.head, p.center.tail
     banned = {(h, t), (t, h)}       # endpoint set {h, t}, or the loop at h when h == t
     adj: dict[str, list[tuple[str, str]]] = {v: [] for v in p.vertices}

@@ -95,17 +95,22 @@ def test_hub_patterns_agree_with_the_walk_oracle(seed, leaves, l):
             enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
 
 
-def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
-    """At l = 1 a hub's one-step table counts its labels; it makes no call
-    per leaf."""
+def _count_walks_calls(monkeypatch) -> list:
     calls = []
     walks = embedding_module._walks
 
-    def counted(adj, memo, v, steps):
+    def counted(g, ends, memo, v, steps):
         calls.append((v, steps))
-        return walks(adj, memo, v, steps)
+        return walks(g, ends, memo, v, steps)
 
     monkeypatch.setattr(embedding_module, "_walks", counted)
+    return calls
+
+
+def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
+    """At l = 1 a hub's one-step table counts its labels; it makes no call
+    per leaf."""
+    calls = _count_walks_calls(monkeypatch)
     made = {}
     for d in (10, 1_000):
         g = GraphStore()
@@ -114,6 +119,24 @@ def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
         calls.clear()
         e = traverse_r(extract_pattern(g, Tuple("hub", "r", "leaf0"), 1), 1)
         assert dict(e.counts) == {("r", "r"): d - 1}
+        made[d] = len(calls)
+    assert made[10] == made[1_000]
+
+
+def test_a_hub_next_to_an_endpoint_costs_the_same_at_any_degree(monkeypatch):
+    """At l = 2 a hub one step from the head is reached with one step left:
+    its table counts its labels, and makes no call per leaf."""
+    calls = _count_walks_calls(monkeypatch)
+    made = {}
+    for d in (10, 1_000):
+        g = GraphStore()
+        g.add_tuple(Tuple("a", "s", "hub"))
+        for i in range(d):
+            g.add_tuple(Tuple("hub", "r", f"leaf{i}"))
+        calls.clear()
+        e = traverse_r(extract_pattern(g, Tuple("a", "r", "b"), 2), 2)
+        assert dict(e.counts) == {("r", "s", "s"): 1, ("r", "r", "s"): d}
+        assert ("hub", 1) in calls
         made[d] = len(calls)
     assert made[10] == made[1_000]
 

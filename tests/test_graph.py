@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgmend import GraphFormatError, GraphStore, NALabelError, Tuple, graph_store, load_graph, save_graph
+from kgmend import (GraphFormatError, GraphStore, NALabelError, Tuple, extract_pattern, graph_store,
+                    load_graph, save_graph)
 from kgmend.evalkit import read_labeled_facts
 from kgmend.graph_store import parse_tuple_line, read_tuples
 from kgmend.repair import PredictionFormatError, iter_prediction_lines
@@ -516,8 +517,12 @@ def assert_store_matches(g: GraphStore, model: set) -> None:
         assert (v in set(g.vertices())) == any(v in (s.head, s.tail) for s in model)
     for u, v in itertools.product(MODEL_VERTICES, repeat=2):
         same(g.edges_between(u, v), {s for s in model if {s.head, s.tail} == {u, v}})
-    for heads, tails in itertools.product(itertools.combinations(MODEL_VERTICES, 2), repeat=2):
-        same(g.edges_from(heads, tails), {s for s in model if s.head in heads and s.tail in tails})
+    for u, v in itertools.product(MODEL_VERTICES, repeat=2):
+        # a pattern reads the edges among its vertices off `sides`
+        center = Tuple(u, "x", v)
+        ball = {u, v} | {w for s in model if {s.head, s.tail} & {u, v} for w in (s.head, s.tail)}
+        same(extract_pattern(g, center, 1).edges - {center},
+             {s for s in model if s.head in ball and s.tail in ball})
     assert g.relations() == sorted({s.relation for s in model})
     for r in MODEL_LABELS:
         same(g.tuples_with_relation(r), {s for s in model if s.relation == r})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kgmend import GraphStore, Tuple, ValidationConfig, classify, extract_pattern
+from kgmend import GraphStore, LocalizedPattern, Tuple, ValidationConfig, classify, extract_pattern, traverse_r
 
 from conftest import LABELS, center_with_parallels, hub_graph, random_center, random_graph
 from oracle import side_adjacency, undirected_dist
@@ -140,10 +140,12 @@ def test_radius_monotone(seed, l):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), star=st.booleans(), l=st.integers(1, 3))
 def test_pattern_adjacency_matches_the_reference(seed, star, l):
-    """The BFS's walk adjacency holds, for each vertex within l - 2 of an
-    endpoint (the endpoints at l = 1) and no other, the steps the pattern's
-    edges give it. The ring, the vertices at depth l - 1, has no adjacency
-    entry: its walk memo holds the label counts of those steps instead."""
+    """The walks read the edges of exactly the vertices within l - 1 of an
+    endpoint: those are the vertices with a walk table of one step or more.
+    Each listed step list and each one-step table is what the pattern's
+    edges give that vertex, less the edges joining the endpoints. Not every
+    such vertex gets a one-step table: a walk may reach it only with more
+    steps left."""
     rng = random.Random(seed)
     if star:
         g = hub_graph(rng, rng.randint(50, 300))
@@ -151,15 +153,15 @@ def test_pattern_adjacency_matches_the_reference(seed, star, l):
         g = random_graph(rng, max_vertices=9, max_edges=16)
     center = center_with_parallels(rng, g)
     p = extract_pattern(g, center, l)
+    assert p.walks == {}
+    traverse_r(p, l)
     reference = side_adjacency(p)
-    assert set(p.adjacency) | set(p.ring) == _ball_oracle(g, center, l - 1)
-    assert set(p.adjacency) == _ball_oracle(g, center, max(l - 2, 0))
-    assert not set(p.adjacency) & set(p.ring)
-    assert l > 1 or p.ring == ()
-    for v, steps in p.adjacency.items():
-        assert Counter(steps) == Counter(reference[v]), v
-    for x in p.ring:
-        assert p.walks[x, 1] == Counter((label,) for label, _ in reference[x]), x
+    assert {v for v, steps in p.walks if steps} == _ball_oracle(g, center, l - 1)
+    for (v, steps), table in p.walks.items():
+        if steps is None:
+            assert Counter(table) == Counter(reference[v]), v
+        elif steps == 1:
+            assert table == Counter((label,) for label, _ in reference[v]), v
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -186,19 +188,21 @@ def test_lazy_fields_equal_the_ball_and_its_induced_edges(seed, kind, l):
 
 
 def test_a_label_check_reads_no_induced_edges(monkeypatch):
-    """`classify` reads the walk adjacency only: on a hub graph it never
-    asks the store for the edges among a pattern's vertices."""
+    """`classify` walks the store: on a hub graph it never reads a
+    pattern's ball or the edges among its vertices."""
     rng = random.Random(7)
     g = hub_graph(rng, 300, extra=30)
     calls = []
-    edges_from = GraphStore.edges_from
+    for name in ("vertices", "edges"):
+        lazy = getattr(LocalizedPattern, name)
 
-    def counted(self, heads, tails):
-        calls.append(1)
-        return edges_from(self, heads, tails)
+        def counted(self, lazy=lazy, name=name):
+            calls.append(name)
+            return lazy.func(self)
 
-    monkeypatch.setattr(GraphStore, "edges_from", counted)
+        monkeypatch.setattr(LocalizedPattern, name, property(counted))
     label = next(s.relation for s in g.all_tuples() if s.head == "hub")
     report = classify(g, Tuple("hub", label, "fresh"), ValidationConfig(delta=3))
     assert report.support_count > 0 and g.embedding_cache
     assert calls == []
+    assert extract_pattern(g, Tuple("hub", label, "fresh"), 2).edges and calls == ["edges", "vertices"]

@@ -39,7 +39,7 @@ from kgmend.validation import (
 )
 
 from conftest import LABELS, cache_registrations, center_with_parallels, random_graph
-from oracle import pairwise_support_from_evidence
+from oracle import pairwise_support_from_evidence, undirected_dist
 
 
 def cfg_l1(**kw) -> ValidationConfig:
@@ -346,18 +346,23 @@ def _read_witnesses(g: GraphStore, cfgs: list[ValidationConfig]) -> None:
             witness_embedding(g, center, cfg)
 
 
+def _within(g: GraphStore, center: Tuple, radius: int) -> set:
+    """The vertices within `radius` undirected steps of an endpoint of center."""
+    ends = {center.head, center.tail}
+    return ends | {v for v in g.vertices() for end in ends
+                   if undirected_dist(g, end, v, radius) is not None}
+
+
 def _assert_cache_coherent(g: GraphStore) -> None:
     """Every cached entry is what a fresh build gives now, and the reverse
-    index registers each live key under the vertices its walks step from (its
-    pattern's adjacency keys plus its ring, those within l - 1 of an endpoint)
-    and nothing else."""
+    index registers each live key, once, under the vertices whose edges its
+    walks read (those within l - 1 of an endpoint) and nothing else."""
     assert set(g._cached_under) == set(g.embedding_cache)
     expected = set()
     for key, cached in g.embedding_cache.items():
         center, l, mode = key
-        pattern = extract_pattern(g, center, l)
-        assert cached == traverse_r(pattern, l, mode)
-        registered = [*pattern.adjacency, *pattern.ring]
+        assert cached == traverse_r(extract_pattern(g, center, l), l, mode)
+        registered = _within(g, center, l - 1)
         assert sorted(g._cached_under[key]) == sorted(registered)
         expected |= {(v, key) for v in registered}
     assert cache_registrations(g) == expected
@@ -424,9 +429,9 @@ def test_an_edge_between_rim_vertices_keeps_the_cached_witness(l):
 
 @pytest.mark.parametrize("l", [2, 3])
 def test_an_edge_at_a_ring_vertex_evicts_the_cached_witness(l):
-    """The walks read a ring vertex (depth l - 1) through its label counts, so
-    the entry is registered under it too: a new edge there evicts it, and the
-    rebuilt embedding counts the new label."""
+    """The walks read a ring vertex's (depth l - 1) edges through its
+    one-step table, so the entry is registered under it too: a new edge there
+    evicts it, and the rebuilt embedding counts the new label."""
     g = GraphStore()
     for a, b, c in (("h", "x1", "x2"), ("t", "y1", "y2")):
         g.add_tuple(Tuple(a, "s", b))
@@ -435,8 +440,7 @@ def test_an_edge_at_a_ring_vertex_evicts_the_cached_witness(l):
     g.add_tuple(center)
     cfg = ValidationConfig(l=l)
     cached = witness_embedding(g, center, cfg)
-    ring = extract_pattern(g, center, l).ring
-    assert sorted(ring) == (["x1", "y1"] if l == 2 else ["x2", "y2"])
+    ring = ("x1", "y1") if l == 2 else ("x2", "y2")        # depth l - 1
     assert g.add_tuple(Tuple(ring[0], "q", "fresh"))
     assert (center, l, cfg.mode) not in g.embedding_cache
     _assert_cache_coherent(g)
