@@ -5,26 +5,25 @@ sequences read off walk pairs through the center edge: a walk of `a` edges
 starting at the head and a walk of `b` edges starting at the tail, a + b = l.
 Walks ignore edge direction, may revisit vertices, and never use an edge
 whose endpoint set is the center's endpoint pair (parallels of the center
-would otherwise be counted from both sides). Each sequence carries the center
-label plus the l side labels; the count is the number of distinct walk pairs
-producing it.
+would otherwise be counted from both sides). The count of a sequence is the
+number of distinct walk pairs producing it. The walks read the store's own
+edges, memoised per vertex and step count on the pattern.
 
-The walks read the store's own edges around the pattern's endpoints; no
-copy of them is made. The tables of walks from a vertex are memoised on the
-pattern, and a one-step table at a vertex other than an endpoint only counts
-its labels. The walks never read the center label, so a pattern relabeled
-with another center label reuses them.
+The walks never read the center label, and `sim` compares only embeddings
+with the same one, so `paths` leave it out and every label over the same
+endpoints shares them; `counts` is the labeled view, with the label put in.
 
-Two canonicalizations: "sorted" (default, lexicographic sort of the whole
-sequence) and "positional" (head walk reversed, then center, then tail walk,
-which preserves the actual walk layout for witness checks). Embeddings of
-different modes never compare.
+Two canonicalizations: "sorted" (default, a lexicographic sort of the whole
+sequence), where putting the label in is one to one, so `sim` compares
+`paths`; and "positional" (head walk reversed, then the center, marked "",
+which no label can be, then the tail walk), where two paths can meet once it
+is put in, such as a head walk (c) and a tail walk (c) under label c, so
+`sim` compares `counts`. Embeddings of different modes never compare.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .graph_store import GraphStore
 from .patterns import LocalizedPattern
@@ -32,20 +31,34 @@ from .patterns import LocalizedPattern
 MODES = ("sorted", "positional")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathEmbedding:
     center_label: str
     radius: int
     mode: str
-    counts: dict  # canonical label sequence (tuple of str) -> walk-pair count
+    paths: dict     # label-free canonical sequence (tuple of str) -> walk-pair count
+    compared: dict = field(init=False, repr=False, compare=False)  # what `sim` reads
+    size: int = field(init=False, repr=False, compare=False)    # the sum of all counts
 
-    @cached_property
-    def size(self) -> int:
-        """Total multiset size, the sum of all counts, computed once."""
-        return sum(self.counts.values())
+    def __post_init__(self):
+        compared = self.paths
+        if self.mode == "positional":       # put the label in, summing paths that meet
+            compared = {}
+            for seq, n in self.paths.items():
+                key = tuple(label or self.center_label for label in seq)
+                compared[key] = compared.get(key, 0) + n
+        object.__setattr__(self, "compared", compared)
+        object.__setattr__(self, "size", sum(self.paths.values()))
+
+    @property
+    def counts(self) -> dict:
+        """The labeled view: canonical sequence with the center label -> count."""
+        if self.mode == "positional":
+            return self.compared
+        return {tuple(sorted((self.center_label,) + seq)): n for seq, n in self.paths.items()}
 
     def is_empty(self) -> bool:
-        return not self.counts
+        return not self.paths
 
 
 def _walks(g: GraphStore, ends: dict, memo: dict, v: str, steps: int) -> dict:
@@ -107,16 +120,16 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
     g, memo = p.store, p.walks
     head, center, tail = p.center
     ends = {head: tail, tail: head}
-    counts: dict = {}
+    paths: dict = {}
     for a in range(l + 1):
         for head_seq, hn in _walks(g, ends, memo, head, a).items():
             for tail_seq, tn in _walks(g, ends, memo, tail, l - a).items():
                 if mode == "sorted":
-                    key = tuple(sorted((center,) + head_seq + tail_seq))
+                    key = tuple(sorted(head_seq + tail_seq))
                 else:
-                    key = tuple(reversed(head_seq)) + (center,) + tail_seq
-                counts[key] = counts.get(key, 0) + hn * tn
-    return PathEmbedding(center_label=center, radius=l, mode=mode, counts=counts)
+                    key = head_seq[::-1] + ("",) + tail_seq
+                paths[key] = paths.get(key, 0) + hn * tn
+    return PathEmbedding(center_label=center, radius=l, mode=mode, paths=paths)
 
 
 def _check_comparable(m1: PathEmbedding, m2: PathEmbedding) -> None:
@@ -129,16 +142,14 @@ def _check_comparable(m1: PathEmbedding, m2: PathEmbedding) -> None:
 
 
 def sim(m1: PathEmbedding, m2: PathEmbedding) -> float:
-    """Common-path count, the multiset intersection size, over the smaller
-    multiset size, in [0, 1].
-
-    Zero when either embedding is empty (the cold-start convention: no side
-    paths means no evidence). One pass over the smaller counts; the sums are
-    integers, so the order of the pass cannot change the score.
-    """
+    """Common-path count, the intersection size of the `compared` multisets,
+    over the smaller multiset size, in [0, 1]. Zero when either embedding is
+    empty (the cold-start convention: no side paths means no evidence). One
+    pass over the smaller counts; the sums are integers, so the order of the
+    pass cannot change the score."""
     if m1.center_label != m2.center_label or m1.radius != m2.radius or m1.mode != m2.mode:
         _check_comparable(m1, m2)
-    small, large = m1.counts, m2.counts
+    small, large = m1.compared, m2.compared
     if not small or not large:
         return 0.0
     if len(small) > len(large):

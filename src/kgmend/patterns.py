@@ -25,9 +25,9 @@ from .graph_store import GraphStore, NA, Tuple
 class LocalizedPattern:
     """The l-ball around `center`, over `store` plus the center edge.
 
-    `walks` memoises `traverse_r`'s walk tables, which hold for every center
-    label over the same endpoints, so `dataclasses.replace(p, center=...)`
-    keeps them. `vertices` and `edges` are derived when first read, for
+    `walks` memoises `traverse_r`'s walk tables, which read no center
+    label, so the one embedding they give serves every label over the same
+    endpoints. `vertices` and `edges` are derived when first read, for
     criterion 3, `embed` and `dump_pattern`; read them before the store's
     next write. Patterns compare by identity.
     """

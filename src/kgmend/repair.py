@@ -202,12 +202,12 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     # escalation in a snapshot builds its posting index; deciding them all keeps those
     # builds in a snapshot's first few failing records, where stopping at the winner
     # spreads them over one record per label and lengthens the per-record latency tail.
-    # Top-1's candidate pattern, relabeled, serves the other labels: one walk memo per record.
+    # Top-1's candidate paths serve the other labels: one walk per record.
     def link(g, h, t, r, vcfg) -> float:
         if r not in evidence:
             s = Tuple(h, r, t)
             top = evidence.get(top_label)
-            evidence[r] = gather_evidence(g, s, vcfg, ignore, top and top.pattern)
+            evidence[r] = gather_evidence(g, s, vcfg, ignore, top and top.candidate.paths)
             reports[r] = support_from_evidence(g, s, vcfg, evidence[r], ignore)
         return evidence[r].link
 

@@ -10,16 +10,17 @@ support, committed edges around the candidate's endpoints decide between
 Invalid and Unknown.
 
 A check walks the store around the candidate's endpoints and copies none of
-it. A record's labels share one candidate pattern, relabeled per label, and
-so its walk tables. A cached witness embedding is registered only under the
-vertices whose edges its walks read, those within l - 1 of an endpoint.
+it. Embeddings keep label-free paths, so a record's labels share one
+candidate embedding, walked once for Top-1 and read under each other label.
+A cached witness embedding is registered only under the vertices whose edges
+its walks read, those within l - 1 of an endpoint.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 try:
     from _blake2 import blake2b     # hashlib's own blake2b, without hashlib loading OpenSSL
@@ -111,22 +112,10 @@ def sample_centers(
     return chosen
 
 
-def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig,
-                        like: LocalizedPattern | None = None
+def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig
                         ) -> tuple[LocalizedPattern, PathEmbedding]:
-    """The candidate's own pattern, built over g plus the candidate, and its
-    embedding.
-
-    `like`, the pattern of another label over the same endpoints and the same
-    snapshot, is relabeled, not rebuilt: walks never step over an edge
-    between the endpoints, so its walk tables hold for s too.
-    """
-    if like is None:
-        pattern = extract_pattern(g, s, cfg.l)
-    else:
-        assert like.store is g and like.radius == cfg.l
-        assert (like.center.head, like.center.tail) == (s.head, s.tail)
-        pattern = replace(like, center=s)
+    """The candidate's own pattern, over g plus the candidate, and its embedding."""
+    pattern = extract_pattern(g, s, cfg.l)
     return pattern, traverse_r(pattern, cfg.l, cfg.mode)
 
 
@@ -150,7 +139,6 @@ class Evidence:
     candidate: PathEmbedding
     centers: list            # (center tuple, from_aux), sample order
     sims: list
-    pattern: LocalizedPattern | None = None     # the candidate's, for the record's other labels
 
     @property
     def link(self) -> float:
@@ -162,26 +150,27 @@ class Evidence:
 
 
 def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
-                    ignore: frozenset = frozenset(),
-                    like: LocalizedPattern | None = None) -> Evidence:
-    """Score s's pattern against sampled same-label patterns; `like` as in
-    `candidate_embedding`."""
+                    ignore: frozenset = frozenset(), paths: dict | None = None) -> Evidence:
+    """Score s's pattern against sampled same-label patterns. `paths`, another
+    label's candidate paths over s's endpoints in this snapshot, are s's own:
+    no walk is made then."""
     # provisional instance tuples shape patterns but may not testify as witnesses
-    pattern, cand = candidate_embedding(g, s, cfg, like)
+    cand = (candidate_embedding(g, s, cfg)[1] if paths is None
+            else PathEmbedding(s.relation, cfg.l, cfg.mode, paths))
     centers = [pair for pair in sample_centers(g, s.relation, cfg, exclude=s)
                if pair[0] not in ignore]
     sims = []
     for center, from_aux in centers:
         source = g.aux_source if from_aux else g
         sims.append(sim(cand, witness_embedding(source, center, cfg)))
-    return Evidence(candidate=cand, centers=centers, sims=sims, pattern=pattern)
+    return Evidence(candidate=cand, centers=centers, sims=sims)
 
 
 @dataclass
 class Postings:
-    """One label's posting index at one (l, mode): canonical sequence ->
-    ascending positions in `tuples_with_relation(label)` whose witness
-    embedding holds it, over positions below `size` less the ignored `holes`.
+    """One label's posting index at one (l, mode): a `PathEmbedding.compared`
+    sequence -> ascending positions in `tuples_with_relation(label)` whose
+    witness embedding holds it, over positions below `size` less the ignored `holes`.
     A caller that reads a hole gets a fresh index; one built under a smaller
     ignore set than the caller's lists positions the caller ignores."""
     lists: dict = field(default_factory=dict)
@@ -216,11 +205,11 @@ def _shared_positions(g: GraphStore, cfg: ValidationConfig, order: list, end: in
         if center in ignore:
             index.holes.add(center)
             continue
-        for seq in witness_embedding(g, center, cfg).counts:
+        for seq in witness_embedding(g, center, cfg).compared:
             lists.setdefault(seq, []).append(p)
     index.size = max(index.size, end)
     hits = set()
-    for seq in cand.counts:
+    for seq in cand.compared:
         found = lists.get(seq)
         if found:
             hits.update(found[:bisect_left(found, end)])

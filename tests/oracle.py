@@ -280,10 +280,17 @@ def reference_sim(m1, m2) -> float:
         raise ValueError(f"radii differ: {m1.radius} vs {m2.radius}")
     if m1.mode != m2.mode:
         raise ValueError(f"canonicalization modes differ: {m1.mode!r} vs {m2.mode!r}")
-    if not m1.counts or not m2.counts:
+    return multiset_sim(m1.counts, m2.counts)
+
+
+def multiset_sim(c1: dict, c2: dict) -> float:
+    """The similarity formula over two labeled walk multisets, such as two of
+    `enumerate_central_walks`'s: the sum of per-sequence minima over the
+    smaller multiset size, 0.0 when either side is empty."""
+    if not c1 or not c2:
         return 0.0
-    common = sum(min(n, m2.counts.get(seq, 0)) for seq, n in m1.counts.items())
-    return common / min(sum(m1.counts.values()), sum(m2.counts.values()))
+    common = sum(min(n, c2.get(seq, 0)) for seq, n in c1.items())
+    return common / min(sum(c1.values()), sum(c2.values()))
 
 
 def undirected_dist(g: GraphStore, u: str, v: str, cap: int) -> int | None:

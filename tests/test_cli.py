@@ -55,6 +55,21 @@ def test_embed_reproduces_golden_file(runner):
     assert result.stdout_bytes == (GOLDEN / "fixture_b_l1.txt").read_bytes()
 
 
+@pytest.mark.parametrize("l, sort_paths, golden", [
+    ("1", "off", "fixture_b_l1_positional.txt"),
+    ("2", "off", "fixture_b_l2_positional.txt"),
+    ("2", "on", "fixture_b_l2.txt"),
+])
+def test_embed_reproduces_the_golden_file_in_either_mode(runner, l, sort_paths, golden):
+    # `embed` prints the labeled view: the center label put back into every path
+    result = runner.invoke(main, [
+        "embed", "--graph", str(DATA / "fixture_b.tsv"), "--head", "India",
+        "--relation", "C", "--tail", "Gorakhpur", "--l", l, "--sort-paths", sort_paths,
+    ])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / golden).read_bytes()
+
+
 @pytest.mark.parametrize("option, value, message", [
     pytest.param("--head", "", "empty", id="--head"),
     pytest.param("--relation", "", "empty", id="--relation"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
 from kgmend.embedding import MODES, PathEmbedding, format_embedding
 
 from conftest import center_with_parallels, hub_graph
-from oracle import enumerate_central_walks, reference_sim
+from oracle import enumerate_central_walks, multiset_sim, reference_sim
 
 CENTER_B = Tuple("India", "C", "Gorakhpur")
 
@@ -95,6 +96,49 @@ def test_hub_patterns_agree_with_the_walk_oracle(seed, leaves, l):
             enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
 
 
+_SIDE_VERTEX = st.sampled_from([f"v{i}" for i in range(5)])
+_SIDE_EDGES = st.lists(st.tuples(_SIDE_VERTEX, st.sampled_from("cst"), _SIDE_VERTEX), max_size=8)
+_ENDPOINT_EXTRAS = st.sets(st.sampled_from(("side", "loop", "parallel")))
+
+
+def _center_on_side_edges(g: GraphStore, head: str, tail: str, extras: set) -> Tuple:
+    """The center (head, c, tail), with c also on side edges at both endpoints,
+    loops at both endpoints and edges parallel to the center, as `extras` asks."""
+    if "side" in extras:    # a head walk (c) and a tail walk (c) meet at (c, c) in positional keys
+        g.add_tuple(Tuple(head, "c", f"{head}_x"))
+        g.add_tuple(Tuple(f"{tail}_y", "c", tail))
+    if "loop" in extras:
+        g.add_tuple(Tuple(head, "c", head))
+        g.add_tuple(Tuple(tail, "s", tail))
+    if "parallel" in extras:
+        g.add_tuple(Tuple(head, "s", tail))
+        g.add_tuple(Tuple(tail, "c", head))
+    return Tuple(head, "c", tail)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edges=_SIDE_EDGES, ends=st.tuples(_SIDE_VERTEX, _SIDE_VERTEX, _SIDE_VERTEX, _SIDE_VERTEX),
+       extras=st.tuples(_ENDPOINT_EXTRAS, _ENDPOINT_EXTRAS))
+def test_sim_and_counts_agree_with_the_labeled_walk_formula(edges, ends, extras):
+    """With the center label on side edges, loops and parallels at the
+    endpoints, each pattern's labeled counts are the walk oracle's, and
+    `sim` of two patterns is the labeled formula over those walks, in both
+    modes at l = 1, 2 and 3."""
+    g = GraphStore()
+    for head, label, tail in edges:
+        g.add_tuple(Tuple(head, label, tail))
+    centers = [_center_on_side_edges(g, *ends[:2], extras[0]),
+               _center_on_side_edges(g, *ends[2:], extras[1])]
+    for l in (1, 2, 3):
+        patterns = [extract_pattern(g, center, l) for center in centers]
+        for mode in MODES:
+            built = [traverse_r(p, l, mode) for p in patterns]
+            walks = [enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
+                     for p in patterns]
+            assert [dict(e.counts) for e in built] == walks
+            assert sim(*built) == multiset_sim(*walks)
+
+
 def _count_walks_calls(monkeypatch) -> list:
     calls = []
     walks = embedding_module._walks
@@ -154,24 +198,38 @@ def test_format_embedding_bytes(fixture_b):
     assert format_embedding(e) == "AC,C\t1\nAP,C\t1\nC,C\t1\nC,CB\t1\nC,CU\t1\nC,PB\t1\n"
 
 
-def _emb(counts, center="r", radius=1, mode="sorted"):
-    return PathEmbedding(center_label=center, radius=radius, mode=mode, counts=dict(counts))
+def _emb(paths, center="r", radius=1, mode="sorted"):
+    """An embedding from label-free paths: the sorted side labels, or in
+    positional mode the head walk reversed, "" for the center, then the tail walk."""
+    return PathEmbedding(center_label=center, radius=radius, mode=mode, paths=dict(paths))
+
+
+def _labeled(paths, center="r", mode="sorted") -> dict:
+    """The labeled multiset by its definition: the center label put into each
+    path, and the counts of paths that then meet summed."""
+    counts = Counter()
+    for seq, n in paths.items():
+        if mode == "sorted":
+            counts[tuple(sorted((center,) + seq))] += n
+        else:
+            counts[tuple(center if label == "" else label for label in seq)] += n
+    return dict(counts)
 
 
 def test_intersection_takes_minimum_per_path():
-    m1 = _emb({("r", "a"): 3, ("r", "b"): 1})
-    m2 = _emb({("r", "a"): 2, ("r", "c"): 5})
+    m1 = _emb({("a",): 3, ("b",): 1})
+    m2 = _emb({("a",): 2, ("c",): 5})
     assert sim(m1, m2) == sim(m2, m1) == pytest.approx(2 / 4)
 
 
 def test_sim_normalizes_by_smaller_size():
-    m1 = _emb({("r", "a"): 3, ("r", "b"): 1})   # size 4
-    m2 = _emb({("r", "a"): 2, ("r", "c"): 5})   # size 7
+    m1 = _emb({("a",): 3, ("b",): 1})   # size 4
+    m2 = _emb({("a",): 2, ("c",): 5})   # size 7
     assert sim(m1, m2) == pytest.approx(2 / 4)
 
 
 def test_sim_empty_is_zero_and_identity_is_one():
-    m = _emb({("r", "a"): 2})
+    m = _emb({("a",): 2})
     empty = _emb({})
     assert sim(m, m) == 1.0
     assert sim(m, empty) == 0.0
@@ -179,36 +237,45 @@ def test_sim_empty_is_zero_and_identity_is_one():
 
 
 def test_sim_rejects_incomparable_embeddings():
-    m = _emb({("r", "a"): 1})
+    m = _emb({("a",): 1})
     with pytest.raises(ValueError):
-        sim(m, _emb({("s", "a"): 1}, center="s"))
+        sim(m, _emb({("a",): 1}, center="s"))
     with pytest.raises(ValueError):
-        sim(m, _emb({("r", "a"): 1}, radius=2))
+        sim(m, _emb({("a",): 1}, radius=2))
     with pytest.raises(ValueError):
-        sim(m, _emb({("r", "a"): 1}, mode="positional"))
+        sim(m, _emb({("", "a"): 1}, mode="positional"))
 
 
-_COUNTS = st.dictionaries(st.tuples(st.sampled_from("rabc"), st.sampled_from("abc")),
-                          st.integers(1, 6), max_size=8)
+_SIDE = st.sampled_from("rabc")
+_PATHS = {      # l = 1; under center "r", positional ("", "r") and ("r", "") meet at ("r", "r")
+    "sorted": st.dictionaries(st.tuples(_SIDE), st.integers(1, 6), max_size=8),
+    "positional": st.dictionaries(st.one_of(st.tuples(st.just(""), _SIDE),
+                                            st.tuples(_SIDE, st.just(""))),
+                                  st.integers(1, 6), max_size=8),
+}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(c1=_COUNTS, c2=_COUNTS)
-def test_sim_equals_its_plain_formula(c1, c2):
-    """The one-pass `sim` gives the reference's float exactly, is symmetric,
-    and is 0.0 when either side is empty."""
-    m1, m2 = _emb(c1), _emb(c2)
+@given(mode=st.sampled_from(MODES), data=st.data())
+def test_sim_equals_its_plain_formula(mode, data):
+    """The one-pass `sim` gives the labeled formula's float exactly, is
+    symmetric, and is 0.0 when either side is empty; `counts` is the labeled
+    multiset."""
+    c1, c2 = data.draw(_PATHS[mode]), data.draw(_PATHS[mode])
+    m1, m2 = _emb(c1, mode=mode), _emb(c2, mode=mode)
+    assert (m1.counts, m2.counts) == (_labeled(c1, mode=mode), _labeled(c2, mode=mode))
     value = sim(m1, m2)
+    assert value == multiset_sim(_labeled(c1, mode=mode), _labeled(c2, mode=mode))
     assert value == reference_sim(m1, m2) == sim(m2, m1)
     if not c1 or not c2:
         assert value == 0.0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(c1=_COUNTS, c2=_COUNTS, center=st.sampled_from("rs"), radius=st.integers(1, 2),
-       mode=st.sampled_from(MODES))
-def test_sim_names_the_first_mismatch_as_the_reference_does(c1, c2, center, radius, mode):
-    m1, m2 = _emb(c1), _emb(c2, center=center, radius=radius, mode=mode)
+@given(c1=_PATHS["sorted"], center=st.sampled_from("rs"), radius=st.integers(1, 2),
+       mode=st.sampled_from(MODES), data=st.data())
+def test_sim_names_the_first_mismatch_as_the_reference_does(c1, center, radius, mode, data):
+    m1, m2 = _emb(c1), _emb(data.draw(_PATHS[mode]), center=center, radius=radius, mode=mode)
     if (center, radius, mode) == ("r", 1, "sorted"):
         assert sim(m1, m2) == reference_sim(m1, m2)
         return

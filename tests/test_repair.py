@@ -26,9 +26,11 @@ from kgmend import (
     repair,
     repair_instance,
     repair_tuple,
+    sim,
     validation,
 )
 from kgmend.repair import UNKNOWN_POLICIES, parse_record
+from kgmend.stream import run
 
 from conftest import LABELS, random_graph
 from oracle import reference_repair_tuple
@@ -449,3 +451,46 @@ def test_decisions_do_not_depend_on_cache_state(monkeypatch):
     assert repair_instance(warm, records, cfg) == repair_instance(cold, records, cfg)
     assert reports[id(warm)] == reports[id(cold)]
     assert any(report.escalated and report.witnesses for report in reports[id(cold)])
+
+
+def test_a_record_walks_once_however_many_labels_it_checks(monkeypatch):
+    """Every label of a record reads Top-1's label-free paths, so a record's
+    candidate is walked once when its Top-1 clears p_th and never otherwise,
+    and `sim` still refuses to compare two of its labels' embeddings."""
+    g, records, _ = benchmark_generate(
+        BenchmarkSpec(records=200, labels=5, occurrences_per_label=10, seed=0))
+    runs = []       # per repair_tuple call: [record, its candidate walks, its decision]
+    walk, decide, gather = validation.traverse_r, repair.repair_tuple, repair.gather_evidence
+    candidates = []
+
+    def counted_walk(p, l, mode):
+        if runs and (p.center.head, p.center.tail) == (runs[-1][0].head, runs[-1][0].tail):
+            runs[-1][1] += 1
+        return walk(p, l, mode)
+
+    def counted_decide(g, rec, cfg, *args):
+        runs.append([rec, 0, None])
+        runs[-1][2] = decide(g, rec, cfg, *args)
+        return runs[-1][2]
+
+    def kept_gather(*args):
+        ev = gather(*args)
+        candidates.append(ev.candidate)
+        return ev
+
+    monkeypatch.setattr(validation, "traverse_r", counted_walk)
+    monkeypatch.setattr(repair, "repair_tuple", counted_decide)
+    monkeypatch.setattr(repair, "gather_evidence", kept_gather)
+    cfg = RepairConfig(p_th=0.7)
+    run(g, iter(inject_errors(records, rate=0.3, seed=0)), cfg, slice_size=50)
+    top1 = [rec.candidates[0] for rec, _, _ in runs]
+    clears = [label != NA and p >= cfg.p_th for label, p in top1]
+    assert [walks for _, walks, _ in runs] == [int(c) for c in clears]
+    assert 0 < sum(clears) < len(runs)
+    assert sum(dec.checks for _, _, dec in runs) > sum(clears)     # more labels than walks
+    shared = [(a, b) for a, b in zip(candidates, candidates[1:])
+              if a.paths is b.paths and a.center_label != b.center_label]
+    assert shared
+    for a, b in shared:
+        with pytest.raises(ValueError, match="center labels differ"):
+            sim(a, b)

@@ -26,7 +26,7 @@ from kgmend import (
     repair_instance,
     validation,
 )
-from kgmend.embedding import MODES, sim, traverse_r
+from kgmend.embedding import MODES, PathEmbedding, sim, traverse_r
 from kgmend.patterns import extract_pattern
 from kgmend.validation import (
     Evidence,
@@ -353,10 +353,18 @@ def _within(g: GraphStore, center: Tuple, radius: int) -> set:
                    if undirected_dist(g, end, v, radius) is not None}
 
 
+def _compared(e: PathEmbedding) -> dict:
+    """The multiset `sim` compares: in sorted mode the label-free paths, which
+    putting the center label back in maps one to one onto the labeled view;
+    in positional mode the labeled view, where paths can meet."""
+    return e.paths if e.mode == "sorted" else e.counts
+
+
 def _assert_cache_coherent(g: GraphStore) -> None:
     """Every cached entry is what a fresh build gives now, and the reverse
     index registers each live key, once, under the vertices whose edges its
-    walks read (those within l - 1 of an endpoint) and nothing else."""
+    walks read (those within l - 1 of an endpoint) and nothing else. Each
+    posting list holds the positions whose witness holds its sequence."""
     assert set(g._cached_under) == set(g.embedding_cache)
     expected = set()
     for key, cached in g.embedding_cache.items():
@@ -375,7 +383,7 @@ def _assert_cache_coherent(g: GraphStore) -> None:
         fresh: dict = {}
         for p in range(index.size):
             if order[p] not in index.holes:
-                for seq in g.embedding_cache[(order[p], l, mode)].counts:
+                for seq in _compared(g.embedding_cache[(order[p], l, mode)]):
                     fresh.setdefault(seq, []).append(p)
         assert index.lists == fresh
 
@@ -449,22 +457,21 @@ def test_an_edge_at_a_ring_vertex_evicts_the_cached_witness(l):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), l=st.integers(1, 3), mode=st.sampled_from(MODES))
-def test_a_relabeled_candidate_pattern_embeds_as_a_fresh_build(seed, l, mode):
-    """Walks never step over an edge between the endpoints, so one label's
-    candidate pattern, relabeled, gives every other label, one absent from
-    the graph included, the embedding and the ball a fresh build gives."""
+def test_a_records_shared_embedding_under_each_label_equals_a_fresh_build(seed, l, mode):
+    """Walks read no center label and never step over an edge between the
+    endpoints, so one label's candidate paths, read under every other label,
+    one absent from the graph included, give the evidence a fresh build gives."""
     rng = random.Random(seed)
     g = random_graph(rng)
     center = center_with_parallels(rng, g)     # existing, hypothetical or head == tail
     cfg = ValidationConfig(l=l, mode=mode)
-    first, _ = candidate_embedding(g, center, cfg)
+    first = gather_evidence(g, center, cfg).candidate
     for label in LABELS + ("absent",):
         s = Tuple(center.head, label, center.tail)
-        relabeled, got = candidate_embedding(g, s, cfg, first)
-        fresh, want = candidate_embedding(g, s, cfg)
-        assert relabeled.center == s and relabeled.walks is first.walks
-        assert got == want
-        assert (relabeled.vertices, relabeled.edges) == (fresh.vertices, fresh.edges)
+        shared = gather_evidence(g, s, cfg, paths=first.paths)
+        assert shared.candidate.paths is first.paths
+        assert shared.candidate == candidate_embedding(g, s, cfg)[1]
+        assert shared == gather_evidence(g, s, cfg)
 
 
 # -- the indexed scan against the pairwise scan --------------------------------
