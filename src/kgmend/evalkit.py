@@ -213,11 +213,11 @@ def benchmark_facts(
 
 def read_labeled_facts(path) -> list[tuple[Tuple, bool]]:
     """TSV `head<TAB>relation<TAB>tail<TAB>flag` with flag 1 (true) or 0 (false)."""
-    facts = []
+    facts, strings = [], {}
     with open_input(path) as fh:
         for lineno, line in data_lines(fh):
             *cells, flag = split_cells(line, lineno, ("head", "relation", "tail", "flag"))
-            fact = storable_tuple(cells, lineno)
+            fact = storable_tuple(cells, lineno, strings)
             if flag not in ("0", "1"):
                 raise GraphFormatError(f"line {lineno}: flag must be 1 or 0, got {flag!r}")
             facts.append((fact, flag == "1"))

@@ -236,16 +236,11 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
     The provisional context is the instance tuples g does not already hold: a
     committed fact that a record re-predicts still testifies for the others.
     Decisions come back in input order; there is no cross-record
-    combinatorial search.
-
-    Entering the overlay drops the sorted order of each label it inserts,
-    and every qualifying record's Top-1 check samples its label's: each is
-    sorted here, once, before the first record rather than inside it.
+    combinatorial search. The overlay inserts each instance tuple into its
+    label's sorted list in place, so no record sorts a label.
     """
     instance = initial_instance(records, cfg.p_th)
     with g.overlay(instance) as context:
-        for label in dict.fromkeys(s.relation for s in instance):
-            g.tuples_with_relation(label)
         return [repair_tuple(g, rec, cfg, context) for rec in records]
 
 

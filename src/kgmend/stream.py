@@ -64,16 +64,14 @@ def load_label_map(path) -> dict[str, str]:
 def integrate_aux(g: GraphStore, aux_graph_path, label_map: dict[str, str]) -> GraphStore:
     """Register a relabeled auxiliary graph as a sampling top-up source.
 
-    Unmapped labels are dropped; auxiliary entities stay in their own store
-    and are never merged into g. The store is built with the collector
-    paused, as `load_graph` builds one.
+    Unmapped labels are dropped, and aux labels mapped to one target give one
+    tuple; auxiliary entities stay in their own store, never merged into g.
+    It is built with the collector paused, as `load_graph` builds one.
     """
     with collector_paused():
         aux = GraphStore()
-        for s in read_tuples(aux_graph_path):
-            target = label_map.get(s.relation)
-            if target is not None:
-                aux.add_tuple(Tuple(s.head, target, s.tail))
+        aux.fill(Tuple(s.head, target, s.tail) for s in read_tuples(aux_graph_path)
+                 if (target := label_map.get(s.relation)) is not None)
     g.aux_source = aux
     return aux
 

@@ -12,7 +12,6 @@ reachable from the CLI.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -411,7 +410,7 @@ def tuple_by_rule(line: str, lineno: int) -> Tuple:
         raise GraphFormatError(
             f"line {lineno}: expected head<TAB>relation<TAB>tail, got {len(cells)} fields")
     try:
-        head, relation, tail = (sys.intern(identifier(cell)) for cell in cells)
+        head, relation, tail = map(identifier, cells)
     except ValueError as exc:
         raise GraphFormatError(f"line {lineno}: {exc}") from None
     if relation == NA:

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgmend import (GraphFormatError, GraphStore, NALabelError, Tuple, extract_pattern, graph_store,
-                    load_graph, save_graph)
+from kgmend import (GraphFormatError, GraphStore, NALabelError, Tuple, ValidationConfig, extract_pattern,
+                    graph_store, load_graph, save_graph)
 from kgmend.evalkit import read_labeled_facts
 from kgmend.graph_store import parse_tuple_line, read_tuples
 from kgmend.repair import PredictionFormatError, iter_prediction_lines
 from kgmend.stream import integrate_aux, load_label_map
+from kgmend.validation import sample_centers
 
 from conftest import cache_registrations
 from oracle import read_tuples_by_rule, tuple_by_rule
@@ -90,7 +91,33 @@ def test_tuples_with_relation_canonical_order():
     g.add_tuple(Tuple("a", "r", "b"))
     order = g.tuples_with_relation("r")
     assert order == sorted(order, key=lambda s: (s.head, s.tail))
-    assert g.tuples_with_relation("missing") == []
+    assert g.tuples_with_relation("missing") == ()
+
+
+def _dicts(g: GraphStore) -> dict:
+    """Copies of the store's dicts, by attribute name."""
+    return {name: dict(held) for name, held in vars(g).items() if type(held) is dict}
+
+
+def test_a_label_the_store_never_held_leaves_no_trace():
+    g, aux = small_graph(), GraphStore()
+    aux.add_tuple(Tuple("x", "r", "y"))
+    g.aux_source = aux
+    before = [(store.relations(), len(store), _dicts(store)) for store in (g, aux)]
+    found = (g.tuples_with_relation("missing"), aux.tuples_with_relation("missing"),
+             Tuple("a", "missing", "b") in g, sample_centers(g, "missing", ValidationConfig()),
+             sample_centers(g, "missing", ValidationConfig(), exclude=Tuple("a", "missing", "b")))
+    assert [(store.relations(), len(store), _dicts(store)) for store in (g, aux)] == before
+    assert found == ((), (), False, [], [])
+
+
+def test_a_loaded_relation_index_costs_a_list_slot_per_edge(tmp_path):
+    # a set took about 77 bytes per edge
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"e{i}\tr{i % 7}\te{(i * 31) % 20_000}\n" for i in range(20_000)))
+    index = load_graph(path)._by_relation
+    assert len(index) == 7 and all(type(occurrences) is list for occurrences in index.values())
+    assert sum(map(sys.getsizeof, index.values())) <= 10 * 20_000 + 64 * len(index)
 
 
 def test_edges_between_covers_both_orientations():
@@ -328,6 +355,12 @@ def _write_chunks(path: Path, chunks: list[list[str]]) -> None:
         assert list(iter(lambda: fh.readlines(_HINT), [])) == chunks
 
 
+def one_object_per_string(tuples) -> bool:
+    """Equal strings among the fields of these Tuples, one read's, are one object."""
+    first: dict = {}
+    return all(first.setdefault(x, x) is x for s in tuples for x in s)
+
+
 def test_a_multi_chunk_graph_reads_as_line_by_line(tmp_path, monkeypatch):
     monkeypatch.setattr(graph_store, "_CHUNK_HINT", _HINT)
     odd_chunks = [_chunk(i, odd, place)
@@ -337,7 +370,7 @@ def test_a_multi_chunk_graph_reads_as_line_by_line(tmp_path, monkeypatch):
     got = read_tuples(path)
     assert got == read_tuples_by_rule(path) and len(got) == 66 + 6 + 1   # plain, odd that store, last
     assert all(type(s) is Tuple for s in got)
-    assert all(sys.intern(x) is x for s in got for x in s)
+    assert one_object_per_string(got)
     for (name, bad), place in itertools.product(_BAD_ODD.items(), _PLACES):
         chunks = [_chunk(100), *odd_chunks]
         chunks.insert(5, _chunk(5, bad, place))
@@ -401,7 +434,7 @@ def test_read_tuples_follows_the_identifier_rule_on_every_line(content):
         assert got == _outcome(read_tuples_by_rule, path)
     if isinstance(got, list):
         assert all(type(s) is Tuple for s in got)
-        assert all(sys.intern(x) is x for s in got for x in s)     # one object per string
+        assert one_object_per_string(got)
     # a file stops at its first bad line, so hold every line to the rule on its own too
     text = content.decode("utf-8-sig", errors="surrogateescape")
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -488,14 +521,22 @@ def test_integrate_aux_leaves_the_collector_as_it_found_it(tmp_path, collector, 
 
 MODEL_VERTICES = ("a", "b", "c")
 MODEL_LABELS = ("r", "s")
+AUX_LABELS = ("x", "y", "z", "u")
+AUX_MAP = {"x": "r", "y": "r", "z": "s"}       # u is not mapped
 model_tuples = st.builds(Tuple, st.sampled_from(MODEL_VERTICES), st.sampled_from(MODEL_LABELS),
                          st.sampled_from(MODEL_VERTICES))
 model_steps = st.one_of(
     st.tuples(st.just("add"), model_tuples),
     st.tuples(st.just("remove"), model_tuples),
     st.tuples(st.just("overlay"), st.lists(model_tuples, max_size=4)),
-    # a new store from a graph file of these lines, None a comment
-    st.tuples(st.just("load"), st.lists(st.one_of(model_tuples, st.none()), max_size=16)),
+    # a new store from a graph file of these lines, None a comment, some of them repeated
+    st.tuples(st.just("load"), st.lists(st.one_of(model_tuples, st.none()), max_size=16)
+              .map(lambda lines: lines + lines[::-2])),
+    # an aux store from a file of these lines, each `x` line also as `y`: both map to r
+    st.tuples(st.just("aux"), st.lists(st.builds(Tuple, st.sampled_from(MODEL_VERTICES),
+                                                 st.sampled_from(AUX_LABELS),
+                                                 st.sampled_from(MODEL_VERTICES)), max_size=8)
+              .map(lambda lines: lines + [s._replace(relation="y") for s in lines if s.relation == "x"])),
 )
 
 
@@ -526,7 +567,7 @@ def assert_store_matches(g: GraphStore, model: set) -> None:
     assert g.relations() == sorted({s.relation for s in model})
     for r in MODEL_LABELS:
         same(g.tuples_with_relation(r), {s for s in model if s.relation == r})
-        assert g.tuples_with_relation(r) == sorted(s for s in model if s.relation == r)
+        assert list(g.tuples_with_relation(r)) == sorted(s for s in model if s.relation == r)
     for s in itertools.starmap(Tuple, itertools.product(MODEL_VERTICES, MODEL_LABELS,
                                                         MODEL_VERTICES)):
         assert (s in g) == (s in model)
@@ -548,17 +589,40 @@ def assert_as_found(g: GraphStore, before: dict) -> None:
             assert len(side_now) == len(side) and all(map(operator.is_, side_now, side)), v
 
 
+def _graph_file(tmp: str, lines: list) -> Path:
+    """A graph file of these lines, None a comment."""
+    path = Path(tmp) / "g.tsv"
+    path.write_text("".join("# c\n" if s is None else "\t".join(s) + "\n" for s in lines))
+    return path
+
+
 def loaded(lines: list) -> GraphStore:
     """`load_graph` of a file of these lines (None a comment), read a few lines
     at a time, held to a store that took them by `add_tuple` in file order."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(graph_store, "_CHUNK_HINT", 16):
-        path = Path(tmp) / "g.tsv"
-        path.write_text("".join("# c\n" if s is None else "\t".join(s) + "\n" for s in lines))
-        g = load_graph(path)
+        g = load_graph(_graph_file(tmp, lines))
+    return assert_built_alike(g, filter(None, lines))
+
+
+def integrated(lines: list) -> GraphStore:
+    """The aux store `integrate_aux` builds from a file of these lines under
+    `AUX_MAP`, held to a store that took the mapped ones by `add_tuple`."""
+    g = GraphStore()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(graph_store, "_CHUNK_HINT", 16):
+        aux = integrate_aux(g, _graph_file(tmp, lines), AUX_MAP)
+    assert g.aux_source is aux and len(g) == 0
+    return assert_built_alike(aux, (s._replace(relation=AUX_MAP[s.relation])
+                                    for s in lines if s.relation in AUX_MAP))
+
+
+def assert_built_alike(g: GraphStore, tuples) -> GraphStore:
+    """g, which must hold what a store that took `tuples` by `add_tuple`
+    holds, in the same layout and order."""
     by_add = GraphStore()
-    for s in filter(None, lines):
+    for s in tuples:
         by_add.add_tuple(s)
     assert len(g) == len(by_add)
+    assert_store_matches(g, set(by_add.all_tuples()))
     for v in MODEL_VERTICES:
         # the entries `sides(v)` reads: each bare or a list alike, in the same order
         for held, want in ((g._out.get(v), by_add._out.get(v)), (g._in.get(v), by_add._in.get(v))):
@@ -581,12 +645,22 @@ def test_store_indexes_match_a_set_of_tuples(steps):
             model.discard(arg)
         elif op == "load":
             g, model = loaded(arg), set(filter(None, arg))
+        elif op == "aux":
+            integrated(arg)
         else:
             before = _snapshot(g, MODEL_VERTICES)
             with g.overlay(arg):
                 assert_store_matches(g, model | set(arg))
             assert_as_found(g, before)
         assert_store_matches(g, model)
+        assert saved(g) == "".join(f"{s.head}\t{s.relation}\t{s.tail}\n" for s in sorted(model))
+
+
+def saved(g: GraphStore) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        save_graph(g, path)
+        return path.read_text(encoding="utf-8")
 
 
 # -- the adjacency layout -------------------------------------------------------

@@ -154,7 +154,7 @@ def test_cli_has_one_usage_error_boundary():
 # Tuple for a lone edge, a list for more. Every other read goes through
 # `graph_store._edges`, since a bare Tuple has a len of 3 and its fields
 # iterate as if they were edges.
-ENTRY_READERS = {"__init__", "add_tuple", "remove_tuple"}
+ENTRY_READERS = {"__init__", "_link", "remove_tuple"}
 
 
 def _adjacency_reads(source: str) -> list[str]:

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import logging
+import sys
 from collections import Counter
 
 import pytest
@@ -158,10 +159,9 @@ def test_hold_counter_expires():
 
 
 def test_no_record_pays_for_its_top1_labels_sort(monkeypatch):
-    """Each snapshot sorts its instance labels at the overlay: every
+    """Each label's occurrences stay sorted through overlays and commits: no
     `repair_tuple` call, a held record's retry in the next slice included,
-    finds its Top-1 label's order built. A label seen only behind a passing
-    Top-1 is never sampled, so it stays unsorted."""
+    sorts a label's list in place or swaps it for a sorted copy."""
     g = GraphStore()
     for label in ("r", "s", "alt"):
         for i in range(6):
@@ -177,16 +177,29 @@ def test_no_record_pays_for_its_top1_labels_sort(monkeypatch):
     repair_tuple = repair.repair_tuple
 
     def checked(g, record, cfg, context_ignore=frozenset()):
-        seen.append((record.id, record.candidates[0][0] in g._relation_order))
-        return repair_tuple(g, record, cfg, context_ignore)
+        labels = {r: (occurrences, list(occurrences)) for r, occurrences in g._by_relation.items()}
+        sorts = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "sort" \
+                    and any(getattr(arg, "__self__", None) is held for held, _ in labels.values()):
+                sorts.append(arg.__self__[0].relation)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return repair_tuple(g, record, cfg, context_ignore)
+        finally:
+            sys.setprofile(outer)
+            kept = all(g._by_relation.get(r) is held and held == copy for r, (held, copy) in labels.items())
+            seen.append((record.id, sorts, kept and g._by_relation.keys() == labels.keys()))
 
     monkeypatch.setattr(repair, "repair_tuple", checked)
     log, results = run(g, stream, rcfg(), slice_size=2)
     assert [r.counts["Held"] for r in results] == [1, 1]
     assert {d.id: d.status for d in log} == {"pass-r": "Accepted", "cold": "Held",
                                              "pass-s": "Accepted"}
-    assert seen == [("pass-r", True), ("cold", True), ("cold", True), ("pass-s", True)]
-    assert "alt" not in g._relation_order
+    assert seen == [("pass-r", [], True), ("cold", [], True), ("cold", [], True), ("pass-s", [], True)]
 
 
 def test_commit_absorbs_duplicates_and_bumps_version():
