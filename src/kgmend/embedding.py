@@ -7,7 +7,9 @@ Walks ignore edge direction, may revisit vertices, and never use an edge
 whose endpoint set is the center's endpoint pair (parallels of the center
 would otherwise be counted from both sides). The count of a sequence is the
 number of distinct walk pairs producing it. The walks read the store's own
-edges, memoised per vertex and step count on the pattern.
+edges, memoised per vertex and step count on the pattern, except that a hub
+keeps its one- and two-step tables on the store, counted once per snapshot
+and shared by every pattern (`_full`).
 
 The walks never read the center label, and `sim` compares only embeddings
 with the same one, so `paths` leave it out and every label over the same
@@ -23,12 +25,14 @@ is put in, such as a head walk (c) and a tail walk (c) under label c, so
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph_store import GraphStore
 from .patterns import LocalizedPattern
 
 MODES = ("sorted", "positional")
+HUB_EDGES = 64      # edges that make a vertex a hub, whose walk tables the store keeps
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,27 +71,34 @@ def _walks(g: GraphStore, ends: dict, memo: dict, v: str, steps: int) -> dict:
     endpoint to the other, and an edge joining them is never a step. Any
     other vertex bans nothing, so its one-step table counts the labels of its
     edges, a loop once. Every other table reads v's steps, listed once in
-    `memo[v, None]`."""
+    `memo[v, None]`, except that at a hub a one-step table, and an endpoint's
+    two-step one, are read off the hub's full tables (`_at_hub_end`)."""
     found = memo.get((v, steps))
     if found is None:
         found = {}
         if steps == 0:
             found[()] = 1
         elif steps == 1 and v not in ends:
-            counts: dict = {}
             out, into = g.sides(v)
-            for s in out:
-                counts[s.relation] = counts.get(s.relation, 0) + 1
-            for s in into:
-                if s.head != v:
+            if len(out) + len(into) >= HUB_EDGES:
+                found = _full(g, v, 1)[0]
+            else:
+                counts: dict = {}
+                for s in out:
                     counts[s.relation] = counts.get(s.relation, 0) + 1
-            for label, n in counts.items():     # a loop costs less than a comprehension here
-                found[label,] = n
+                for s in into:
+                    if s.head != v:
+                        counts[s.relation] = counts.get(s.relation, 0) + 1
+                for label, n in counts.items():     # a loop costs less than a comprehension here
+                    found[label,] = n
         else:
             listed = memo.get((v, None))
             if listed is None:
                 banned = ends.get(v)            # the far endpoint, or None
                 out, into = g.sides(v)
+                if banned is not None and steps < 3 and len(out) + len(into) >= HUB_EDGES:
+                    found = memo[v, steps] = _at_hub_end(g, memo, v, banned, steps)
+                    return found
                 listed = [(s.relation, s.tail) for s in out if s.tail != banned]
                 # a loop at v came out of `out` already
                 listed += [(s.relation, s.head) for s in into if s.head != v and s.head != banned]
@@ -103,6 +114,45 @@ def _walks(g: GraphStore, ends: dict, memo: dict, v: str, steps: int) -> dict:
                         found[key] = found.get(key, 0) + n
         memo[v, steps] = found
     return found
+
+
+def _full(g: GraphStore, v: str, steps: int) -> tuple[dict, list]:
+    """Hub v's table of `steps` (1 or 2) edges, banning none, and its loops'
+    labels, kept in g's cache under (v, steps) and registered under v and,
+    at two steps, v's neighbours, whose edges it read."""
+    key = (v, steps)
+    entry = g.embedding_cache.get(key)
+    if entry is None:
+        memo: dict = {}
+        table = ({(label,): n for label, n in Counter(s.relation for s in g.incident(v)).items()}
+                 if steps == 1 else _walks(g, {}, memo, v, 2))
+        entry = (table, [s.relation for s in g.sides(v)[0] if s.tail == v])
+        g.cache_embedding(key, entry, dict.fromkeys(w for w, k in memo if k) or (v,))
+    return entry
+
+
+def _at_hub_end(g: GraphStore, memo: dict, v: str, far: str, steps: int) -> dict:
+    """Hub endpoint v's table of `steps` (1 or 2) edges, far end `far`: its
+    full table less each step (s,) over an edge s to `far`, at two steps with
+    far's full one-step table after it, and a step to `far` after a loop at v.
+    The memo entry ((v, 2), 2) registers a witness under the table's key."""
+    one, loops = _full(g, v, 1)
+    between = loops if far == v else [s.relation for s in g.edges_between(v, far)]
+    if steps == 1:
+        table, drops = one, [((label,), 1) for label in between]
+    else:
+        table = memo[(v, 2), 2] = _full(g, v, 2)[0]
+        beyond = one if far == v else _walks(g, {}, {}, far, 1)
+        drops = [((label,) + seq, n) for label in between for seq, n in beyond.items()]
+        if far != v:
+            drops += [((loop, label), 1) for loop in loops for label in between]
+    table = dict(table)
+    for key, n in drops:
+        if table[key] == n:
+            del table[key]      # `counts` compare as dicts: no zero count may stay
+        else:
+            table[key] -= n
+    return table
 
 
 def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbedding:

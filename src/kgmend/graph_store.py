@@ -4,13 +4,13 @@ The store keeps out/in adjacency and a relation-occurrence index, nothing
 else, and all three hold the same stored Tuple objects: every query returns
 those objects and builds none. Degrees, vertices and the edge count are
 derived from the indexes when asked for. Beside them sit two read caches: the
-path embeddings of stored witness patterns with, for every vertex, the cached
-embeddings whose walks read its edges, and, until the next write, the scan's
-posting indexes (built by `validation`). Set semantics, which the relation
-index's sorted lists keep: the same tuple is never stored twice, but parallel
-edges with different labels between the same endpoints are fine.
-The reserved label NA ("no relation") is never stored; deletion of a fact is
-physical removal.
+path embeddings of stored witness patterns and hubs' walk tables, with, for
+every vertex, the cached entries whose walks read its edges, and, until the
+next write, the scan's posting indexes (built by `validation`). Set
+semantics, which the relation index's sorted lists keep: the same tuple is
+never stored twice, but parallel edges with different labels between the
+same endpoints are fine. The reserved label NA ("no relation") is never
+stored; deletion of a fact is physical removal.
 A graph file is read about 64 KiB of whole lines at a time: a chunk of plain
 lines in one regex pass, any other chunk line by line under the same rule.
 """
@@ -63,6 +63,11 @@ class GraphStore:
     l - 1 either: a path that short through it would reach one of its
     endpoints sooner. A mutation of (u, r, v) therefore evicts exactly the
     entries registered under u or v, through `cache_embedding`.
+
+    A hub's walk tables (`embedding._full`), keyed (vertex, steps) apart from
+    witnesses (center, l, mode), follow the same rule; a witness that read a
+    hub's two-step table is registered under its key instead of the hub's
+    neighbours, and dropping a table drops every entry registered under it.
 
     The posting indexes live until the next write: any mutation drops them all.
     """
@@ -156,13 +161,14 @@ class GraphStore:
             self._evict(s.head)
             self._evict(s.tail)
 
-    def _evict(self, v: str) -> None:
-        """Drop every cached embedding whose pattern holds v, from all vertices."""
+    def _evict(self, v) -> None:
+        """Drop every entry registered under v, a vertex or a dropped table's key."""
         held = self._cache_keys.pop(v, None)
         if held is None:
             return
         for key in held if type(held) is set else (held,):
-            del self.embedding_cache[key]
+            if self.embedding_cache.pop(key, None) is None:
+                continue                    # it went with a table it read
             for w in self._cached_under.pop(key):
                 keys = self._cache_keys.get(w)
                 if type(keys) is set:
@@ -171,10 +177,12 @@ class GraphStore:
                         del self._cache_keys[w]
                 elif keys is not None:      # w held key alone; None is v itself
                     del self._cache_keys[w]
+            if key in self._cache_keys:     # a table, read by cached witnesses
+                self._evict(key)
 
     def cache_embedding(self, key, embedding, vertices: Iterable[str]) -> None:
-        """Cache a witness embedding under `vertices`, the vertices whose edges
-        the walks read; `key` must not be cached already."""
+        """Cache a witness embedding or a hub's walk table under `vertices`: the
+        vertices whose edges it read, and the tables it read; `key` is new."""
         self.embedding_cache[key] = embedding
         self._cached_under[key] = vertices = tuple(vertices)
         index = self._cache_keys
@@ -247,11 +255,11 @@ class GraphStore:
                 yield s
 
     def edges_between(self, u: str, v: str) -> set[Tuple]:
-        """Edges with endpoint set {u, v}, either orientation (and loops if u == v)."""
-        found = {s for s in _edges(self._out, u) if s.tail == v}
-        if u != v:
-            found |= {s for s in _edges(self._out, v) if s.tail == u}
-        return found
+        """Edges with endpoint set {u, v} (loops if u == v), read at the endpoint with fewer edges."""
+        if self.degree(u) < self.degree(v):
+            u, v = v, u
+        out, into = self.sides(v)
+        return {s for s in out if s.tail == u}.union(s for s in into if s.head == u)
 
     def vertices(self) -> Iterator[str]:
         """Heads in insertion order, then tails that are never heads."""

@@ -13,7 +13,7 @@ A check walks the store around the candidate's endpoints and copies none of
 it. Embeddings keep label-free paths, so a record's labels share one
 candidate embedding, walked once for Top-1 and read under each other label.
 A cached witness embedding is registered only under the vertices whose edges
-its walks read, those within l - 1 of an endpoint.
+its walks read, those within l - 1 of an endpoint, or under a hub table's key.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) 
     """Embedding of a stored occurrence, cached on its store until an edge is
     added or removed at a vertex whose edges its walks read: those with a
     walk table of one step or more, the vertices within l - 1 of an
-    endpoint. No other edge is walked, nor can it bring a vertex that close."""
+    endpoint. No other edge is walked, nor can it bring a vertex that close.
+    A hub endpoint's neighbours are read, and registered, via its table's key."""
     key = (center, cfg.l, cfg.mode)
     cached = source.embedding_cache.get(key)
     if cached is None:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import gc
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from kgmend import GraphStore, Tuple, load_graph
+from kgmend import GraphStore, Tuple, embedding, load_graph
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,9 +85,30 @@ def center_with_parallels(rng: random.Random, g: GraphStore,
 
 
 def cache_registrations(g: GraphStore) -> set:
-    """(vertex, cache key) pairs in the store's reverse index of cached witnesses."""
+    """(vertex or table key, cache key) pairs in the store's reverse index."""
     return {(v, key) for v, held in g._cache_keys.items()
             for key in (held if isinstance(held, set) else (held,))}
+
+
+def read_through(g: GraphStore, registered) -> set:
+    """The vertices among `registered`, and those of every walk table key
+    there, the vertices whose edits drop that table and all that read it."""
+    found = set()
+    for v in registered:
+        found.update(g._cached_under[v] if isinstance(v, tuple) else (v,))
+    return found
+
+
+# the store's threshold, and one at which every vertex with an edge shares its walk tables
+HUB_THRESHOLDS = (embedding.HUB_EDGES, 1)
+
+
+@contextmanager
+def hub_edges(edges: int):
+    """Run the block with walk tables kept for vertices with `edges` edges or more."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "HUB_EDGES", edges)
+        yield
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 import kgmend.embedding as embedding_module
 from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
 from kgmend.embedding import MODES, PathEmbedding, format_embedding
+from kgmend.validation import ValidationConfig, witness_embedding
 
-from conftest import center_with_parallels, hub_graph
+from conftest import HUB_THRESHOLDS, center_with_parallels, hub_edges, hub_graph
 from oracle import enumerate_central_walks, multiset_sim, reference_sim
 
 CENTER_B = Tuple("India", "C", "Gorakhpur")
@@ -87,13 +89,16 @@ def test_antiparallel_edges_are_distinct_steps():
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), leaves=st.integers(1, 40), l=st.integers(1, 3))
 def test_hub_patterns_agree_with_the_walk_oracle(seed, leaves, l):
+    """Also with walk tables kept for every vertex, each pattern sharing them."""
     rng = random.Random(seed)
     g = hub_graph(rng, leaves, extra=rng.randint(0, leaves // 4))
     center = center_with_parallels(rng, g)
-    p = extract_pattern(g, center, l)
-    for mode in MODES:
-        assert dict(traverse_r(p, l, mode).counts) == \
-            enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
+    for edges in HUB_THRESHOLDS:
+        with hub_edges(edges):
+            p = extract_pattern(g, center, l)
+            for mode in MODES:
+                assert dict(traverse_r(p, l, mode).counts) == \
+                    enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
 
 
 _SIDE_VERTEX = st.sampled_from([f"v{i}" for i in range(5)])
@@ -123,20 +128,22 @@ def test_sim_and_counts_agree_with_the_labeled_walk_formula(edges, ends, extras)
     """With the center label on side edges, loops and parallels at the
     endpoints, each pattern's labeled counts are the walk oracle's, and
     `sim` of two patterns is the labeled formula over those walks, in both
-    modes at l = 1, 2 and 3."""
+    modes at l = 1, 2 and 3, with walk tables kept for hubs or for every
+    vertex, the patterns sharing them."""
     g = GraphStore()
     for head, label, tail in edges:
         g.add_tuple(Tuple(head, label, tail))
     centers = [_center_on_side_edges(g, *ends[:2], extras[0]),
                _center_on_side_edges(g, *ends[2:], extras[1])]
-    for l in (1, 2, 3):
-        patterns = [extract_pattern(g, center, l) for center in centers]
-        for mode in MODES:
-            built = [traverse_r(p, l, mode) for p in patterns]
-            walks = [enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
-                     for p in patterns]
-            assert [dict(e.counts) for e in built] == walks
-            assert sim(*built) == multiset_sim(*walks)
+    for hub, l in itertools.product(HUB_THRESHOLDS, (1, 2, 3)):
+        with hub_edges(hub):
+            patterns = [extract_pattern(g, center, l) for center in centers]
+            for mode in MODES:
+                built = [traverse_r(p, l, mode) for p in patterns]
+                walks = [enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
+                         for p in patterns]
+                assert [dict(e.counts) for e in built] == walks
+                assert sim(*built) == multiset_sim(*walks)
 
 
 def _count_walks_calls(monkeypatch) -> list:
@@ -183,6 +190,41 @@ def test_a_hub_next_to_an_endpoint_costs_the_same_at_any_degree(monkeypatch):
         assert ("hub", 1) in calls
         made[d] = len(calls)
     assert made[10] == made[1_000]
+
+
+def _hub_case(d: int) -> GraphStore:
+    """A hub H with d out-edges (H, r{i mod 5}, x_i), one more edge at each
+    leaf, and 30 other r0 facts."""
+    g = GraphStore()
+    for i in range(d):
+        g.add_tuple(Tuple("H", f"r{i % 5}", f"x{i}"))
+        g.add_tuple(Tuple(f"x{i}", f"q{i % 3}", f"y{i}"))
+    for i in range(30):
+        g.add_tuple(Tuple(f"a{i}", "r0", f"b{i}"))
+    return g
+
+
+def test_witnesses_at_a_hub_cost_the_same_at_any_degree(monkeypatch):
+    """At l = 2 the hub's full two-step table is built once, by the first
+    witness at it; each later witness (H, r0, x_i) derives its own from that
+    table less the steps toward x_i, with as many `_walks` calls at
+    d = 400 as at d = 25,600, and the embedding a store without shared
+    tables builds (checked at d = 400, where that build is cheap)."""
+    calls = _count_walks_calls(monkeypatch)
+    cfg = ValidationConfig()
+    witnesses = [Tuple("H", "r0", f"x{i}") for i in range(0, 50, 5)]
+    made, built = {}, {}
+    for d in (400, 25_600):
+        g = _hub_case(d)
+        witness_embedding(g, witnesses[0], cfg)
+        assert ("H", 2) in g.embedding_cache
+        calls.clear()
+        built[d] = [witness_embedding(g, s, cfg) for s in witnesses[1:]]
+        made[d] = len(calls)
+    assert made[400] == made[25_600]
+    monkeypatch.setattr(embedding_module, "HUB_EDGES", 401)
+    g = _hub_case(400)
+    assert built[400] == [embed(g, s, 2) for s in witnesses[1:]]
 
 
 def test_radius_must_fit_pattern(fixture_b):

@@ -23,7 +23,7 @@ from kgmend.repair import PredictionFormatError, iter_prediction_lines
 from kgmend.stream import integrate_aux, load_label_map
 from kgmend.validation import sample_centers
 
-from conftest import cache_registrations
+from conftest import cache_registrations, random_graph
 from oracle import read_tuples_by_rule, tuple_by_rule
 
 
@@ -128,6 +128,18 @@ def test_edges_between_covers_both_orientations():
     assert g.edges_between("a", "b") == {Tuple("a", "r", "b"), Tuple("b", "s", "a")}
     assert g.edges_between("b", "a") == g.edges_between("a", "b")
     assert g.edges_between("a", "a") == {Tuple("a", "t", "a")}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), loops=st.booleans())
+def test_edges_between_equals_both_out_lists_on_random_graphs(seed, loops):
+    """On random graphs, with and without loops, the edges read off the
+    endpoint with fewer edges are those the two endpoints' out-lists give."""
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=8, max_edges=rng.choice((6, 30)), loops=loops)
+    for u, v in itertools.product(sorted(g.vertices()) + ["fresh"], repeat=2):
+        out = [g.sides(u)[0], g.sides(v)[0]]
+        assert g.edges_between(u, v) == {s for s in out[0] if s.tail == v} | {s for s in out[1] if s.tail == u}
 
 
 def test_overlay_adds_then_restores():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kgmend import GraphStore, LocalizedPattern, Tuple, ValidationConfig, classify, extract_pattern, traverse_r
 
-from conftest import LABELS, center_with_parallels, hub_graph, random_center, random_graph
+from conftest import LABELS, center_with_parallels, hub_graph, random_center, random_graph, read_through
 from oracle import side_adjacency, undirected_dist
 from test_acceptance import _ball_edges_oracle
 
@@ -141,7 +141,9 @@ def test_radius_monotone(seed, l):
 @given(seed=st.integers(0, 10_000), star=st.booleans(), l=st.integers(1, 3))
 def test_pattern_adjacency_matches_the_reference(seed, star, l):
     """The walks read the edges of exactly the vertices within l - 1 of an
-    endpoint: those are the vertices with a walk table of one step or more.
+    endpoint: those with a walk table of one step or more, with the vertices
+    of every hub table read (a hub endpoint's neighbours, through its
+    two-step table), are the vertices whose edits evict the cached witness.
     Each listed step list and each one-step table is what the pattern's
     edges give that vertex, less the edges joining the endpoints. Not every
     such vertex gets a one-step table: a walk may reach it only with more
@@ -156,12 +158,15 @@ def test_pattern_adjacency_matches_the_reference(seed, star, l):
     assert p.walks == {}
     traverse_r(p, l)
     reference = side_adjacency(p)
-    assert {v for v, steps in p.walks if steps} == _ball_oracle(g, center, l - 1)
+    read = read_through(g, {v for v, steps in p.walks if steps})
     for (v, steps), table in p.walks.items():
-        if steps is None:
+        if isinstance(v, tuple):        # a hub table's key: it was read whole
+            assert table is g.embedding_cache[v][0]
+        elif steps is None:
             assert Counter(table) == Counter(reference[v]), v
         elif steps == 1:
             assert table == Counter((label,) for label, _ in reference[v]), v
+    assert read == _ball_oracle(g, center, l - 1)      # the oracle's write drops the tables
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

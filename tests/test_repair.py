@@ -19,6 +19,7 @@ from kgmend import (
     ValidationConfig,
     benchmark_generate,
     classify,
+    embedding,
     initial_instance,
     inject_errors,
     joint_scores,
@@ -32,7 +33,7 @@ from kgmend import (
 from kgmend.repair import UNKNOWN_POLICIES, parse_record
 from kgmend.stream import run
 
-from conftest import LABELS, random_graph
+from conftest import HUB_THRESHOLDS, LABELS, hub_edges, random_graph
 from oracle import reference_repair_tuple
 
 VCFG = ValidationConfig(l=1, sample_size=4)
@@ -418,7 +419,14 @@ def test_repair_tuple_matches_the_reference_walk(graph_seed, endpoints, candidat
 def test_decisions_do_not_depend_on_cache_state(monkeypatch):
     # a cold store and one whose witness cache and posting indexes are full,
     # the indexes with holes, decide the same records alike; records that join
-    # stored vertices make the snapshot's writes evict cached witnesses
+    # stored vertices make the snapshot's writes evict cached witnesses, and
+    # with walk tables kept for every vertex, the tables they read
+    for edges in HUB_THRESHOLDS:
+        with hub_edges(edges), monkeypatch.context() as patch:
+            _decide_cold_and_warm_alike(patch)
+
+
+def _decide_cold_and_warm_alike(monkeypatch) -> None:
     spec = BenchmarkSpec(records=300, labels=6, occurrences_per_label=15, seed=3)
     cold, records, _ = benchmark_generate(spec)
     warm, _, _ = benchmark_generate(spec)
@@ -433,7 +441,9 @@ def test_decisions_do_not_depend_on_cache_state(monkeypatch):
         ignore = frozenset(rng.sample(warm.tuples_with_relation(wrong.relation), 3))
         classify(warm, wrong, vcfg, ignore)
     assert any(index.holes for index in warm.postings.values())
-    assert len(warm.embedding_cache) == len(warm) and not cold.embedding_cache
+    witnesses = [key for key in warm.embedding_cache if len(key) == 3]     # not (vertex, steps) tables
+    assert len(witnesses) == len(warm) and not cold.embedding_cache
+    assert len(warm.embedding_cache) > len(witnesses) or embedding.HUB_EDGES > 1
     records = inject_errors(records, rate=0.3, seed=0) + [
         rec(f"x{i}", a.head, b.tail, *zip(rng.sample(labels, 3), (0.8, 0.5, 0.3)))
         for i, (a, b) in enumerate(rng.sample(stored, 2) for _ in range(100))]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from kgmend import (
     ValidationConfig,
     benchmark_generate,
     classify,
+    embedding,
     inject_errors,
     repair,
     repair_instance,
@@ -38,7 +40,7 @@ from kgmend.validation import (
     witness_embedding,
 )
 
-from conftest import LABELS, cache_registrations, center_with_parallels, random_graph
+from conftest import HUB_THRESHOLDS, LABELS, cache_registrations, center_with_parallels, hub_edges, random_graph, read_through
 from oracle import pairwise_support_from_evidence, undirected_dist
 
 
@@ -360,20 +362,48 @@ def _compared(e: PathEmbedding) -> dict:
     return e.paths if e.mode == "sorted" else e.counts
 
 
+def _fresh_table(g: GraphStore, v: str, steps: int) -> tuple[dict, list]:
+    """v's walks of `steps` edges over all its edges, by brute force, and the
+    sorted labels of v's loops: what a store keeps for a hub."""
+    walks = Counter({((), v): 1})
+    for _ in range(steps):
+        longer = Counter()
+        for (seq, x), n in walks.items():
+            for s in g.incident(x):
+                longer[seq + (s.relation,), s.tail if s.head == x else s.head] += n
+        walks = longer
+    table = Counter()
+    for (seq, _), n in walks.items():
+        table[seq] += n
+    return dict(table), sorted(s.relation for s in g.incident(v) if s.head == s.tail)
+
+
 def _assert_cache_coherent(g: GraphStore) -> None:
-    """Every cached entry is what a fresh build gives now, and the reverse
-    index registers each live key, once, under the vertices whose edges its
-    walks read (those within l - 1 of an endpoint) and nothing else. Each
-    posting list holds the positions whose witness holds its sequence."""
+    """Every cached entry is what a fresh build gives now: a witness
+    (center, l, mode) its embedding, a hub's walk table (v, steps) its fresh
+    count. The reverse index registers each live key, once, under what it
+    read: a table under v, and at two steps v's neighbours; a witness under
+    the vertices and live tables whose edits must evict it, which together
+    read the edges of exactly the vertices within l - 1 of an endpoint, and
+    nothing else. Each posting list holds the positions whose witness holds
+    its sequence."""
     assert set(g._cached_under) == set(g.embedding_cache)
-    expected = set()
     for key, cached in g.embedding_cache.items():
+        registered = g._cached_under[key]
+        assert len(set(registered)) == len(registered)
+        if len(key) == 2:
+            v, steps = key
+            table, loops = cached
+            assert (table, sorted(loops)) == _fresh_table(g, v, steps)
+            assert g.degree(v) >= embedding.HUB_EDGES
+            assert set(registered) == (_within(g, Tuple(v, "", v), 1) if steps == 2 else {v})
+            continue
         center, l, mode = key
         assert cached == traverse_r(extract_pattern(g, center, l), l, mode)
-        registered = _within(g, center, l - 1)
-        assert sorted(g._cached_under[key]) == sorted(registered)
-        expected |= {(v, key) for v in registered}
-    assert cache_registrations(g) == expected
+        assert all(v in g.embedding_cache for v in registered if isinstance(v, tuple))
+        assert read_through(g, registered) == _within(g, center, l - 1)
+    assert cache_registrations(g) == {(v, key) for key, registered in g._cached_under.items()
+                                      for v in registered}
     assert all(g._cache_keys.values())
     for (label, l, mode), index in g.postings.items():
         order = g.tuples_with_relation(label)
@@ -392,6 +422,13 @@ def _assert_cache_coherent(g: GraphStore) -> None:
 @settings(max_examples=60, deadline=None)
 @given(initial=st.lists(_EDGE, max_size=12), ops=_OPS)
 def test_cached_witnesses_equal_fresh_builds_after_any_mutation(mode, initial, ops):
+    """Also with walk tables kept for every vertex, which the witnesses read."""
+    for edges in HUB_THRESHOLDS:
+        with hub_edges(edges):
+            _witnesses_after_mutations(mode, initial, ops)
+
+
+def _witnesses_after_mutations(mode, initial, ops) -> None:
     cfgs = [ValidationConfig(l=l, mode=mode) for l in (1, 2, 3)]
     g = GraphStore()
     for s in initial:
@@ -453,6 +490,34 @@ def test_an_edge_at_a_ring_vertex_evicts_the_cached_witness(l):
     assert (center, l, cfg.mode) not in g.embedding_cache
     _assert_cache_coherent(g)
     assert witness_embedding(g, center, cfg) != cached
+
+
+def test_an_edge_at_a_hub_neighbour_drops_the_hub_table_and_what_read_it():
+    """Witnesses at a hub read its neighbours' edges through its two-step
+    table, and are registered under the table's key, not under each
+    neighbour: a new edge at a neighbour drops the table and every witness
+    that read it, and the rebuilt ones count the new label. An edge two
+    steps from the hub keeps them, and the witness elsewhere stays."""
+    g = GraphStore()
+    for i in range(embedding.HUB_EDGES):
+        g.add_tuple(Tuple("H", "r", f"x{i}"))
+        g.add_tuple(Tuple(f"x{i}", "s", f"y{i}"))
+    g.add_tuple(Tuple("a", "r", "b"))
+    cfg = ValidationConfig(l=2)
+    at_hub = [Tuple("H", "r", f"x{i}") for i in range(3)]
+    cached = {s: witness_embedding(g, s, cfg) for s in at_hub + [Tuple("a", "r", "b")]}
+    keys = {s: (s, cfg.l, cfg.mode) for s in cached}
+    assert {key for v, key in cache_registrations(g) if v == ("H", 2)} == {keys[s] for s in at_hub}
+    assert all("x9" not in g._cached_under[keys[s]] for s in at_hub)
+    assert g.add_tuple(Tuple("y9", "q", "fresh"))          # two steps from H
+    assert all(g.embedding_cache[keys[s]] is e for s, e in cached.items())
+    _assert_cache_coherent(g)
+    assert g.add_tuple(Tuple("x9", "q", "fresh"))          # a neighbour of H, no witness's endpoint
+    assert ("H", 2) not in g.embedding_cache and ("H", 1) in g.embedding_cache
+    assert [s for s in cached if keys[s] in g.embedding_cache] == [Tuple("a", "r", "b")]
+    _assert_cache_coherent(g)
+    assert all(witness_embedding(g, s, cfg) != cached[s] for s in at_hub)
+    _assert_cache_coherent(g)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
