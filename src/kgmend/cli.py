@@ -190,7 +190,7 @@ def embed(graph, head, relation, tail, vcfg):
     """Print the path embedding of one center tuple, one path per line."""
     with _usage_errors():
         center = Tuple(identifier(head), identifier(relation), identifier(tail))
-        _, emb = candidate_embedding(load_graph(graph), center, vcfg)
+        emb = candidate_embedding(load_graph(graph), center, vcfg)
     click.echo(format_embedding(emb), nl=False)
 
 

@@ -25,7 +25,6 @@ is put in, such as a head walk (c) and a tail walk (c) under label c, so
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph_store import GraphStore
@@ -61,15 +60,12 @@ class PathEmbedding:
             return self.compared
         return {tuple(sorted((self.center_label,) + seq)): n for seq, n in self.paths.items()}
 
-    def is_empty(self) -> bool:
-        return not self.paths
-
 
 def _walks(g: GraphStore, ends: dict, memo: dict, v: str, steps: int) -> dict:
     """Label sequence -> number of distinct walks of `steps` edges from v over
     g's edges, memoised in `memo` by (v, steps). `ends` maps each center
-    endpoint to the other, and an edge joining them is never a step. Any
-    other vertex bans nothing, so its one-step table counts the labels of its
+    endpoint to the other, or None, and no step joins them. Any other
+    vertex bans nothing, so its one-step table counts the labels of its
     edges, a loop once. Every other table reads v's steps, listed once in
     `memo[v, None]`, except that at a hub a one-step table, and an endpoint's
     two-step one, are read off the hub's full tables (`_at_hub_end`)."""
@@ -124,10 +120,9 @@ def _full(g: GraphStore, v: str, steps: int) -> tuple[dict, list]:
     entry = g.embedding_cache.get(key)
     if entry is None:
         memo: dict = {}
-        table = ({(label,): n for label, n in Counter(s.relation for s in g.incident(v)).items()}
-                 if steps == 1 else _walks(g, {}, memo, v, 2))
+        table = _walks(g, {v: None}, memo, v, steps)    # v, its own endpoint, bans nothing
         entry = (table, [s.relation for s in g.sides(v)[0] if s.tail == v])
-        g.cache_embedding(key, entry, dict.fromkeys(w for w, k in memo if k) or (v,))
+        g.cache_embedding(key, entry, (w for w, k in memo if k))
     return entry
 
 

@@ -18,6 +18,7 @@ lines in one regex pass, any other chunk line by line under the same rule.
 from __future__ import annotations
 
 import gc
+import os
 import re
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -61,8 +62,11 @@ class GraphStore:
     from. Every walk step leaves such a vertex, so an edge with neither
     endpoint there is never walked, and it cannot bring a vertex within
     l - 1 either: a path that short through it would reach one of its
-    endpoints sooner. A mutation of (u, r, v) therefore evicts exactly the
-    entries registered under u or v, through `cache_embedding`.
+    endpoints sooner. A mutation of (u, r, v) therefore evicts every entry
+    registered under u or v, through `cache_embedding`, and strikes their
+    keys off u and v alone. A key rebuilt may stay listed where it no longer
+    reads, and a write there evicts it once more at most: no entry is ever
+    stale, and the extra evictions are bounded by the registrations made.
 
     A hub's walk tables (`embedding._full`), keyed (vertex, steps) apart from
     witnesses (center, l, mode), follow the same rule; a witness that read a
@@ -81,10 +85,8 @@ class GraphStore:
         self.embedding_cache: dict = {}
         # (relation, l, mode) -> validation's posting index; dropped on any write
         self.postings: dict = {}
-        # cache key -> the vertices its walks step from, and vertex -> the cache
-        # key, or the set of keys, registered under it. Most vertices hold one
-        # key, and a bare key spares them a set (216 bytes each).
-        self._cached_under: dict = {}
+        # vertex or table key -> the cache key, or set of keys, registered under
+        # it; most hold one, and a bare key spares them a set (216 bytes each)
         self._cache_keys: dict = {}
         self.aux_source: "GraphStore | None" = None
 
@@ -162,37 +164,24 @@ class GraphStore:
             self._evict(s.tail)
 
     def _evict(self, v) -> None:
-        """Drop every entry registered under v, a vertex or a dropped table's key."""
+        """Drop what is registered under v, a vertex or a dropped table's key."""
         held = self._cache_keys.pop(v, None)
         if held is None:
             return
         for key in held if type(held) is set else (held,):
-            if self.embedding_cache.pop(key, None) is None:
-                continue                    # it went with a table it read
-            for w in self._cached_under.pop(key):
-                keys = self._cache_keys.get(w)
-                if type(keys) is set:
-                    keys.discard(key)
-                    if not keys:
-                        del self._cache_keys[w]
-                elif keys is not None:      # w held key alone; None is v itself
-                    del self._cache_keys[w]
-            if key in self._cache_keys:     # a table, read by cached witnesses
+            if self.embedding_cache.pop(key, None) is not None:
                 self._evict(key)
 
-    def cache_embedding(self, key, embedding, vertices: Iterable[str]) -> None:
-        """Cache a witness embedding or a hub's walk table under `vertices`: the
-        vertices whose edges it read, and the tables it read; `key` is new."""
+    def cache_embedding(self, key, embedding, vertices: Iterable) -> None:
+        """Cache a witness embedding or a hub's walk table under `vertices`, those
+        whose edges it read and the tables it read, repeated or not."""
         self.embedding_cache[key] = embedding
-        self._cached_under[key] = vertices = tuple(vertices)
         index = self._cache_keys
         for v in vertices:
-            held = index.get(v)
-            if held is None:
-                index[v] = key
-            elif type(held) is set:
+            held = index.setdefault(v, key)
+            if type(held) is set:
                 held.add(key)
-            else:
+            elif held != key:
                 index[v] = {held, key}
 
     def bump_version(self) -> int:
@@ -422,8 +411,18 @@ def load_graph(path) -> GraphStore:
 def save_graph(g: GraphStore, path) -> None:
     """Write the canonical sorted order (head, relation, tail): Tuple order.
     `all_tuples` yields it relation-major, a sorted run per label, so one
-    stable sort by head string merges the runs into it."""
+    stable sort by head string merges the runs into it. The lines go to a
+    file beside `path`, moved onto it once written, so a save that fails
+    midway leaves `path` as it was; a device or pipe is written in place."""
     order = sorted(g.all_tuples(), key=itemgetter(0))
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in order:
-            fh.write(f"{s.head}\t{s.relation}\t{s.tail}\n")
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    part = path if in_place else f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            for s in order:
+                fh.write(f"{s.head}\t{s.relation}\t{s.tail}\n")
+        if not in_place:
+            os.replace(part, path)
+    finally:
+        if not in_place and os.path.exists(part):
+            os.remove(part)

@@ -29,7 +29,7 @@ except ImportError:                 # a build without the builtin module
 
 from .embedding import MODES, PathEmbedding, sim, traverse_r
 from .graph_store import GraphStore, NA, Tuple
-from .patterns import LocalizedPattern, extract_pattern
+from .patterns import extract_pattern
 
 VALID = "Valid"
 INVALID = "Invalid"
@@ -112,11 +112,9 @@ def sample_centers(
     return chosen
 
 
-def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig
-                        ) -> tuple[LocalizedPattern, PathEmbedding]:
-    """The candidate's own pattern, over g plus the candidate, and its embedding."""
-    pattern = extract_pattern(g, s, cfg.l)
-    return pattern, traverse_r(pattern, cfg.l, cfg.mode)
+def candidate_embedding(g: GraphStore, s: Tuple, cfg: ValidationConfig) -> PathEmbedding:
+    """The embedding of the candidate's own pattern, over g plus the candidate."""
+    return traverse_r(extract_pattern(g, s, cfg.l), cfg.l, cfg.mode)
 
 
 def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) -> PathEmbedding:
@@ -130,7 +128,7 @@ def witness_embedding(source: GraphStore, center: Tuple, cfg: ValidationConfig) 
     if cached is None:
         pattern = extract_pattern(source, center, cfg.l)
         cached = traverse_r(pattern, cfg.l, cfg.mode)
-        source.cache_embedding(key, cached, dict.fromkeys(v for v, steps in pattern.walks if steps))
+        source.cache_embedding(key, cached, (v for v, steps in pattern.walks if steps))
     return cached
 
 
@@ -144,10 +142,8 @@ class Evidence:
     @property
     def link(self) -> float:
         """The linkage prediction: mean sampled similarity, 0.0 on an empty
-        sample or when the candidate's pattern has no side paths."""
-        if not self.sims or self.candidate.is_empty():
-            return 0.0
-        return sum(self.sims) / len(self.sims)
+        sample (each is 0.0 when the candidate's pattern has no side paths)."""
+        return sum(self.sims) / len(self.sims) if self.sims else 0.0
 
 
 def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
@@ -156,7 +152,7 @@ def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     label's candidate paths over s's endpoints in this snapshot, are s's own:
     no walk is made then."""
     # provisional instance tuples shape patterns but may not testify as witnesses
-    cand = (candidate_embedding(g, s, cfg)[1] if paths is None
+    cand = (candidate_embedding(g, s, cfg) if paths is None
             else PathEmbedding(s.relation, cfg.l, cfg.mode, paths))
     centers = [pair for pair in sample_centers(g, s.relation, cfg, exclude=s)
                if pair[0] not in ignore]

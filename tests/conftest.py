@@ -90,12 +90,17 @@ def cache_registrations(g: GraphStore) -> set:
             for key in (held if isinstance(held, set) else (held,))}
 
 
+def registered_under(g: GraphStore, key) -> set:
+    """The vertices and walk table keys whose entry in the reverse index lists `key`."""
+    return {v for v, listed in cache_registrations(g) if listed == key}
+
+
 def read_through(g: GraphStore, registered) -> set:
-    """The vertices among `registered`, and those of every walk table key
-    there, the vertices whose edits drop that table and all that read it."""
+    """The vertices among `registered`, and those registered under every walk
+    table key there, the vertices whose edits drop that table and all that read it."""
     found = set()
     for v in registered:
-        found.update(g._cached_under[v] if isinstance(v, tuple) else (v,))
+        found.update(registered_under(g, v) if isinstance(v, tuple) else (v,))
     return found
 
 

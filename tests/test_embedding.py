@@ -66,7 +66,7 @@ def test_single_edge_pattern_has_empty_embedding():
     g = GraphStore()
     g.add_tuple(Tuple("u", "q", "v"))
     e = embed(g, Tuple("u", "q", "v"), 1)
-    assert e.is_empty() and e.size == 0
+    assert e.paths == {} and e.size == 0
 
 
 def test_self_loop_walked_once():
@@ -160,10 +160,11 @@ def _count_walks_calls(monkeypatch) -> list:
 
 def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
     """At l = 1 a hub's one-step table counts its labels; it makes no call
-    per leaf."""
+    per leaf: as many at d = 100 as at d = 1,000, and at most one more, the
+    table's own build, than at a vertex with 10 edges."""
     calls = _count_walks_calls(monkeypatch)
     made = {}
-    for d in (10, 1_000):
+    for d in (10, 100, 1_000):
         g = GraphStore()
         for i in range(d):
             g.add_tuple(Tuple("hub", "r", f"leaf{i}"))
@@ -171,15 +172,17 @@ def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
         e = traverse_r(extract_pattern(g, Tuple("hub", "r", "leaf0"), 1), 1)
         assert dict(e.counts) == {("r", "r"): d - 1}
         made[d] = len(calls)
-    assert made[10] == made[1_000]
+    assert made[100] == made[1_000] <= made[10] + 1
 
 
 def test_a_hub_next_to_an_endpoint_costs_the_same_at_any_degree(monkeypatch):
     """At l = 2 a hub one step from the head is reached with one step left:
-    its table counts its labels, and makes no call per leaf."""
+    its table counts its labels, and makes no call per leaf: as many at
+    d = 100 as at d = 1,000, and at most one more, the table's own build,
+    than at a vertex with 10 edges."""
     calls = _count_walks_calls(monkeypatch)
     made = {}
-    for d in (10, 1_000):
+    for d in (10, 100, 1_000):
         g = GraphStore()
         g.add_tuple(Tuple("a", "s", "hub"))
         for i in range(d):
@@ -189,7 +192,7 @@ def test_a_hub_next_to_an_endpoint_costs_the_same_at_any_degree(monkeypatch):
         assert dict(e.counts) == {("r", "s", "s"): 1, ("r", "r", "s"): d}
         assert ("hub", 1) in calls
         made[d] = len(calls)
-    assert made[10] == made[1_000]
+    assert made[100] == made[1_000] <= made[10] + 1
 
 
 def _hub_case(d: int) -> GraphStore:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import gc
 import itertools
 import operator
+import os
 import random
+import stat
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -194,15 +197,33 @@ def test_mutation_evicts_exactly_the_patterns_holding_an_endpoint():
     assert set(g.embedding_cache) == {"ab", "bc", "xy"}
     g.add_tuple(Tuple("q", "s", "a"))              # a is only in "ab"
     assert g.embedding_cache == {"bc": "e2", "xy": "e3"}
-    assert cache_registrations(g) == {("b", "bc"), ("c", "bc"), ("x", "xy"), ("y", "xy")}
+    # the write strikes "ab" off a alone: b still lists it
+    assert cache_registrations(g) == {("b", "ab"), ("b", "bc"), ("c", "bc"), ("x", "xy"), ("y", "xy")}
     g.remove_tuple(Tuple("b", "r", "c"))           # both endpoints in "bc"
     assert g.embedding_cache == {"xy": "e3"}
     assert cache_registrations(g) == {("x", "xy"), ("y", "xy")}
     with g.overlay([Tuple("y", "r", "y")]):        # a self-loop at y, then its removal
         assert g.embedding_cache == {}
-    assert cache_registrations(g) == set() and g._cached_under == {}
+    assert cache_registrations(g) == {("x", "xy")}
     g.add_tuple(Tuple("y", "r", "x"))              # an empty cache stays empty
     assert g.embedding_cache == {}
+
+
+def test_a_key_registered_again_stays_bare_under_each_vertex():
+    """`cache_embedding` takes its vertices repeated or not, and a vertex
+    that lists the key already, from an entry evicted through another
+    vertex, keeps it bare: no one-element set."""
+    g = small_graph()
+    g.cache_embedding("ab", "e1", ["a", "b", "a"])
+    assert g._cache_keys == {"a": "ab", "b": "ab"}
+    g.add_tuple(Tuple("q", "s", "a"))
+    assert g.embedding_cache == {} and g._cache_keys == {"b": "ab"}
+    g.cache_embedding("ab", "e2", ["b", "c", "b"])
+    g.cache_embedding("bc", "e3", ["b", "c"])
+    g.cache_embedding("bc", "e3", ["c"])
+    assert g._cache_keys == {"b": {"ab", "bc"}, "c": {"ab", "bc"}}
+    g.add_tuple(Tuple("c", "s", "q"))              # drops both entries, and c's listing
+    assert g.embedding_cache == {} and g._cache_keys == {"b": {"ab", "bc"}}
 
 
 def test_parse_tuple_line_errors_carry_line_numbers():
@@ -230,6 +251,48 @@ def test_save_load_roundtrip_is_canonical(tmp_path):
     save_graph(g, path)
     assert path.read_text() == "a\tr\tb\na\ts\tb\nz\tr\ty\n"
     assert set(load_graph(path).all_tuples()) == set(g.all_tuples())
+
+
+class _FailingCell(str):
+    """A cell whose formatting raises its `error`, as a full disk or a Ctrl-C
+    would midway through a save."""
+
+    def __format__(self, spec):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_a_save_that_fails_midway_leaves_the_old_file_whole(tmp_path, error):
+    """The lines go to a file beside the target, moved onto it only once all
+    are written: a save that raises after writing more than a buffer's worth
+    leaves the old file byte for byte, and no other file behind."""
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"old\tr\tgraph\n")
+    g = GraphStore()
+    for i in range(2_000):
+        g.add_tuple(Tuple(f"h{i:04}", "r", f"t{i}"))
+    cell = _FailingCell("h1500")
+    cell.error = error
+    g.add_tuple(Tuple(cell, "r", "t"))
+    with pytest.raises(type(error)):
+        save_graph(g, path)
+    assert path.read_bytes() == b"old\tr\tgraph\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_saved_to_in_place(tmp_path):
+    """A target that is no regular file, a pipe or a device, is written as it
+    is, never replaced by a file."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text()), daemon=True)
+    reader.start()
+    save_graph(small_graph(), pipe)
+    reader.join(timeout=10)
+    assert not reader.is_alive() and read == ["a\tr\tb\na\ts\tc\nb\tr\tc\n"]
+    assert stat.S_ISFIFO(pipe.stat().st_mode) and list(tmp_path.iterdir()) == [pipe]
 
 
 # cells that share prefixes, hold the control characters `identifier` keeps
