@@ -36,7 +36,7 @@ def _in_a_writable_directory(ctx, param, path):
     a bad path fails first, not in a traceback once the work is done; click's
     own `writable` check reads only a file that exists."""
     if path is not None:
-        directory = os.path.dirname(path) or os.curdir
+        directory = os.path.dirname(os.path.realpath(path))     # through any symlink
         if not os.path.isdir(directory):
             raise click.BadParameter(f"directory {directory!r} does not exist", ctx, param)
         if not os.access(directory, os.W_OK | os.X_OK):

@@ -73,7 +73,8 @@ class GraphStore:
     hub's two-step table is registered under its key instead of the hub's
     neighbours, and dropping a table drops every entry registered under it.
 
-    The posting indexes live until the next write: any mutation drops them all.
+    The posting indexes live until the next write, which drops them all, and
+    list no tuple in `provisional`: those the open overlay inserted, or none.
     """
 
     def __init__(self) -> None:
@@ -85,6 +86,7 @@ class GraphStore:
         self.embedding_cache: dict = {}
         # (relation, l, mode) -> validation's posting index; dropped on any write
         self.postings: dict = {}
+        self.provisional: frozenset = frozenset()     # what the open overlay inserted
         # vertex or table key -> the cache key, or set of keys, registered under
         # it; most hold one, and a bare key spares them a set (216 bytes each)
         self._cache_keys: dict = {}
@@ -192,8 +194,8 @@ class GraphStore:
     def overlay(self, tuples: Iterable[Tuple]):
         """Temporarily add tuples (a g-union-instance snapshot), then restore.
 
-        Yields the frozenset of the tuples it inserted, those the store did
-        not hold. The caller must not mutate the store inside the block.
+        Yields, and keeps as `provisional` until the block ends, the frozenset
+        of the tuples it inserted. The caller must not mutate the store inside.
         """
         inserted = []
         try:
@@ -201,8 +203,10 @@ class GraphStore:
                 if self.add_tuple(s):
                     inserted.append(s)
             self.bump_version()
-            yield frozenset(inserted)
+            self.provisional = frozenset(inserted)
+            yield self.provisional
         finally:
+            self.provisional = frozenset()
             for s in reversed(inserted):
                 self.remove_tuple(s)
             self.bump_version()
@@ -409,16 +413,19 @@ def load_graph(path) -> GraphStore:
 
 
 def save_graph(g: GraphStore, path) -> None:
-    """Write the canonical sorted order (head, relation, tail): Tuple order.
-    `all_tuples` yields it relation-major, a sorted run per label, so one
-    stable sort by head string merges the runs into it. The lines go to a
-    file beside `path`, moved onto it once written, so a save that fails
-    midway leaves `path` as it was; a device or pipe is written in place."""
+    """Write the canonical sorted order (head, relation, tail): Tuple order,
+    by one stable sort by head of `all_tuples`' sorted run per label. The
+    lines go to a file beside the one `path` names through any symlink, with
+    its permissions, moved onto it once written: a save that fails midway
+    leaves it as it was. A device or pipe is written in place."""
     order = sorted(g.all_tuples(), key=itemgetter(0))
+    path = os.path.realpath(path)
     in_place = os.path.exists(path) and not os.path.isfile(path)
     part = path if in_place else f"{path}.{os.getpid()}.part"
     try:
         with open(part, "w", encoding="utf-8") as fh:
+            if os.path.isfile(path):
+                os.chmod(part, os.stat(path).st_mode & 0o7777)
             for s in order:
                 fh.write(f"{s.head}\t{s.relation}\t{s.tail}\n")
         if not in_place:

@@ -10,7 +10,7 @@ two-vertex pattern.
 A pattern is a handle on the store, not a copy of it: `extract_pattern`
 checks its arguments and reads nothing, and `traverse_r` walks the store's
 own edges, memoising its walk tables on the handle. The ball and its edges
-are read off the store only when first asked for.
+are read off the store only when first asked for, never by an embedding.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class LocalizedPattern:
     `walks` memoises `traverse_r`'s walk tables, which read no center
     label, so the one embedding they give serves every label over the same
     endpoints. `vertices` and `edges` are derived when first read, for
-    criterion 3, `embed` and `dump_pattern`; read them before the store's
-    next write. Patterns compare by identity.
+    criterion 3, `dump_pattern` and the benchmark's tracer; read them
+    before the store's next write. Patterns compare by identity.
     """
     center: Tuple
     radius: int

@@ -5,9 +5,9 @@ its own localized pattern (the support set is the implicit constraint: no
 mined rules, just structural precedent). A short sample escalates to a scan
 of further occurrences; the scan reads a posting index (label, l, mode) ->
 sequence -> occurrence positions, kept on the GraphStore until its next
-write, since a witness must share a sequence with the candidate. With no
-support, committed edges around the candidate's endpoints decide between
-Invalid and Unknown.
+write, since a witness must share a sequence with the candidate; it skips
+the provisional tuples every check in an overlay ignores. With no support,
+committed edges around the candidate's endpoints decide Invalid or Unknown.
 
 A check walks the store around the candidate's endpoints and copies none of
 it. Embeddings keep label-free paths, so a record's labels share one
@@ -163,18 +163,6 @@ def gather_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     return Evidence(candidate=cand, centers=centers, sims=sims)
 
 
-@dataclass
-class Postings:
-    """One label's posting index at one (l, mode): a `PathEmbedding.compared`
-    sequence -> ascending positions in `tuples_with_relation(label)` whose
-    witness embedding holds it, over positions below `size` less the ignored `holes`.
-    A caller that reads a hole gets a fresh index; one built under a smaller
-    ignore set than the caller's lists positions the caller ignores."""
-    lists: dict = field(default_factory=dict)
-    size: int = 0
-    holes: set = field(default_factory=set)
-
-
 def _scan_window(order: list, cap: int, ignore, skip: set) -> tuple[int, bool]:
     """The scan reads order[:end], the first `cap` occurrences in neither
     `ignore` nor `skip` (disjoint sets); also whether it holds any."""
@@ -189,22 +177,17 @@ def _scan_window(order: list, cap: int, ignore, skip: set) -> tuple[int, bool]:
 
 
 def _shared_positions(g: GraphStore, cfg: ValidationConfig, order: list, end: int,
-                      cand: PathEmbedding, ignore) -> list[int]:
+                      cand: PathEmbedding) -> list[int]:
     """Ascending positions below `end` whose witness embedding shares a
-    sequence with cand, from the label's posting index, built on demand."""
+    sequence with cand, from the label's posting index (sequence -> positions
+    below `size`, none in `g.provisional`), extended to the largest `end` asked."""
     key = (cand.center_label, cfg.l, cfg.mode)
-    index = g.postings.get(key)
-    if index is None or not ignore.issuperset(index.holes):     # it skipped what this caller reads
-        index = g.postings[key] = Postings()
-    lists = index.lists
-    for p in range(index.size, end):
-        center = order[p]
-        if center in ignore:
-            index.holes.add(center)
-            continue
-        for seq in witness_embedding(g, center, cfg).compared:
-            lists.setdefault(seq, []).append(p)
-    index.size = max(index.size, end)
+    lists, size = g.postings.get(key, ({}, 0))
+    for p in range(size, end):
+        if order[p] not in g.provisional:
+            for seq in witness_embedding(g, order[p], cfg).compared:
+                lists.setdefault(seq, []).append(p)
+    g.postings[key] = lists, max(size, end)
     hits = set()
     for seq in cand.compared:
         found = lists.get(seq)
@@ -224,7 +207,10 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
     posting index lists.
     Short of delta, the committed edges at s's endpoints decide between
     Invalid and Unknown; s itself and the `ignore` tuples count for neither.
+    Inside an overlay `ignore` must hold `g.provisional`, or ValueError.
     """
+    if ignore is not g.provisional and not ignore >= g.provisional:
+        raise ValueError("ignore must hold the tuples the open overlay inserted")
     witnesses = [ev.centers[i] for i, v in enumerate(ev.sims) if v > cfg.theta]
     count = len(witnesses)
     escalated = False
@@ -232,7 +218,7 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
         order = g.tuples_with_relation(s.relation)
         skip = {c for c, _ in [(s, False), *ev.centers] if c not in ignore}
         end, escalated = _scan_window(order, cfg.scan_cap, ignore, skip)
-        for p in _shared_positions(g, cfg, order, end, ev.candidate, ignore):
+        for p in _shared_positions(g, cfg, order, end, ev.candidate):
             center = order[p]
             if center in skip or center in ignore:
                 continue
@@ -264,7 +250,7 @@ def classify(g: GraphStore, s: Tuple, cfg: ValidationConfig,
     `ignore` lists candidate tuples that may sit in the snapshot as context
     but must not count as committed evidence, neither as support witnesses
     nor for the Invalid conditions (a record's own provisional fact never
-    testifies for or against its alternatives).
+    testifies for or against its alternatives); in an overlay, `g.provisional`.
     """
     if s.relation == NA:
         raise ValueError("NA tuples are never validated")

@@ -388,6 +388,27 @@ def test_an_output_directory_that_is_not_writable_exits_two(runner, tmp_path, mo
     assert result.exit_code == 2 and "is not writable" in result.stderr
 
 
+def test_an_output_symlink_is_checked_at_its_target_and_saved_through(runner, tmp_path, monkeypatch):
+    # a link in a writable directory onto a file in one that is not fails
+    # first; onto a writable one, the link stays and its target takes the graph
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "out.tsv"
+    link = tmp_path / "out.tsv"
+    link.symlink_to(target)
+    args = _every_command(tmp_path)["enhance"] + ["--out-graph", str(link)]
+    readable = os.access
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_graph", lambda *args: pytest.fail("the graph was loaded"))
+        patch.setattr(os, "access", lambda path, mode: (
+            os.path.basename(path) != "data" or not mode & os.W_OK) and readable(path, mode))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and "is not writable" in result.stderr
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink() and set(load_graph(target).all_tuples()) >= set(
+        load_graph(tmp_path / "graph.tsv").all_tuples())
+
+
 def test_an_output_file_in_the_working_directory_is_accepted(runner, tmp_path, monkeypatch):
     args = _every_command(tmp_path)["enhance"]
     monkeypatch.chdir(tmp_path)

@@ -295,6 +295,30 @@ def test_a_pipe_is_saved_to_in_place(tmp_path):
     assert stat.S_ISFIFO(pipe.stat().st_mode) and list(tmp_path.iterdir()) == [pipe]
 
 
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+def test_a_symlink_is_saved_through_to_its_target(tmp_path):
+    """The link stays a link, and the file it names holds the new graph."""
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "g.tsv"
+    target.write_text("old\tr\tgraph\n")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    save_graph(small_graph(), link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "a\tr\tb\na\ts\tc\nb\tr\tc\n"
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "data", target, link]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755], ids=oct)
+def test_a_saved_file_keeps_its_permissions(tmp_path, mode):
+    path = tmp_path / "g.tsv"
+    path.write_text("old\tr\tgraph\n")
+    path.chmod(mode)
+    save_graph(small_graph(), path)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == "a\tr\tb\na\ts\tc\nb\tr\tc\n"
+
+
 # cells that share prefixes, hold the control characters `identifier` keeps
 # (\x00-\x08 are not whitespace), or are not ASCII: where an order by string
 # keys and Tuple order could part

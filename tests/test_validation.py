@@ -32,7 +32,6 @@ from kgmend.embedding import MODES, PathEmbedding, sim, traverse_r
 from kgmend.patterns import extract_pattern
 from kgmend.validation import (
     Evidence,
-    Postings,
     candidate_embedding,
     gather_evidence,
     sample_centers,
@@ -216,7 +215,7 @@ def test_scan_window_counts_only_eligible_occurrences(decoys, found, ignore_self
     assert report.witnesses == ([(twin, False)] if found else [])
 
 
-def test_postings_are_rebuilt_when_a_hole_is_read_and_dropped_on_any_write():
+def test_postings_serve_every_ignore_set_and_are_dropped_on_any_write():
     g = window_graph(1)     # born_in: a_self, b_ignored, c_sampled0, c_sampled1, d00, z_twin
     g.add_tuple(Tuple("p9", "works_in", "p9_w"))
     s = Tuple("p9", "born_in", "p9_c")
@@ -231,8 +230,8 @@ def test_postings_are_rebuilt_when_a_hole_is_read_and_dropped_on_any_write():
         _assert_cache_coherent(g)
         return [c for c, _ in report.witnesses]
 
-    assert witnesses(frozenset(twins[:2])) == twins[2:]    # two holes in the postings
-    assert witnesses() == twins                            # a later caller reading them rebuilds
+    assert witnesses(frozenset(twins[:2])) == twins[2:]    # the index lists the ignored twins too
+    assert witnesses() == twins                            # and a later caller reads them there
     assert g.postings
     g.add_tuple(Tuple("a0", "works_in", "a0_w"))           # far from every cached pattern,
     assert g.postings == {}                                # yet every index is dropped
@@ -243,15 +242,61 @@ def test_postings_are_rebuilt_when_a_hole_is_read_and_dropped_on_any_write():
     assert witnesses(delta=4, scan_cap=7) == [early] + twins
 
 
+def test_checks_with_different_ignore_sets_share_one_posting_index(monkeypatch):
+    # outside an overlay no tuple is provisional, so a check that ignores one
+    # twin and a check that ignores the other read the index the first built;
+    # the candidate's bare endpoints share no sequence, so only building walks
+    g = window_graph(1)
+    s = Tuple("p9", "born_in", "p9_c")
+    cfg = ValidationConfig(l=1, delta=3)
+    ev = Evidence(candidate=candidate_embedding(g, s, cfg), centers=[], sims=[])
+    walked = Counter()
+
+    def counted(source, center, cfg):
+        walked[center] += 1
+        return witness_embedding(source, center, cfg)
+
+    monkeypatch.setattr(validation, "witness_embedding", counted)
+    for ignore in (frozenset([Tuple("a_self", "born_in", "a_self_c")]),
+                   frozenset([Tuple("b_ignored", "born_in", "b_ignored_c")])):
+        report = support_from_evidence(g, s, cfg, ev, ignore)
+        assert report.escalated and not report.witnesses
+    assert walked == Counter(g.tuples_with_relation("born_in"))     # each walked once
+    assert list(g.postings) == [("born_in", 1, "sorted")]
+    _assert_cache_coherent(g)
+
+
+def test_a_check_inside_an_overlay_must_ignore_what_the_overlay_inserted():
+    g = context_graph(occurrences=3)
+    s, other = Tuple("p0", "born_in", "x"), Tuple("q", "born_in", "y")
+    committed = Tuple("p1", "born_in", "c1")
+    cfg = cfg_l1(delta=5)
+    with g.overlay([s, other, committed]) as inserted:
+        ev = gather_evidence(g, s, cfg, inserted)
+        for ignore in (frozenset([s]), frozenset()):
+            with pytest.raises(ValueError, match="overlay inserted"):
+                support_from_evidence(g, s, cfg, ev, ignore)
+        with pytest.raises(ValueError, match="overlay inserted"):
+            classify(g, s, cfg)
+        assert inserted is g.provisional and inserted == {s, other}
+        for ignore in (inserted, inserted | {committed}):   # the provisional set or more
+            assert support_from_evidence(g, s, cfg, ev, ignore) == \
+                pairwise_support_from_evidence(g, s, cfg, ev, ignore)
+            _assert_cache_coherent(g)
+    assert g.provisional == frozenset() and g.postings == {}
+    assert classify(g, s, cfg, frozenset([other])).tuple == s   # outside one, any set will do
+
+
 def test_the_records_of_one_snapshot_share_one_posting_index_per_label(monkeypatch):
     # no write happens inside repair_instance's overlay, so every escalated
     # label's index is built once, even with a re-predicted committed fact last
     built = []
 
-    class Counted(Postings):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
+    class Counted(dict):
+        def __setitem__(self, key, index):
+            if key not in self:
+                built.append(key)
+            super().__setitem__(key, index)
 
     escalated = set()
 
@@ -261,10 +306,10 @@ def test_the_records_of_one_snapshot_share_one_posting_index_per_label(monkeypat
             escalated.add(s.relation)
         return report
 
-    monkeypatch.setattr(validation, "Postings", Counted)
     monkeypatch.setattr(repair, "support_from_evidence", recorded)
     g, records, _ = benchmark_generate(
         BenchmarkSpec(records=60, labels=3, occurrences_per_label=10, seed=0))
+    g.postings = Counted()
     committed = Tuple("e00_0a", "rel00", "e00_0b")
     assert committed in g
     records = inject_errors(records, rate=0.3, seed=0)
@@ -388,7 +433,7 @@ def _assert_cache_coherent(g: GraphStore) -> None:
     read the edges of at least the vertices within l - 1 of an endpoint. A
     key may stay listed where an evicted entry under it read, and a vertex
     holds a key bare or a set of two or more. Each posting list holds the
-    positions whose witness holds its sequence."""
+    positions whose witness holds its sequence, none of them provisional."""
     for key, cached in g.embedding_cache.items():
         registered = registered_under(g, key)
         if len(key) == 2:
@@ -403,17 +448,16 @@ def _assert_cache_coherent(g: GraphStore) -> None:
         assert all(v in g.embedding_cache for v in registered if isinstance(v, tuple))
         assert read_through(g, registered) >= _within(g, center, l - 1)
     assert all(type(held) is not set or len(held) > 1 for held in g._cache_keys.values())
-    for (label, l, mode), index in g.postings.items():
+    for (label, l, mode), (lists, size) in g.postings.items():
         order = g.tuples_with_relation(label)
-        position = {c: p for p, c in enumerate(order)}
-        assert index.size <= len(order)
-        assert all(position.get(c, index.size) < index.size for c in index.holes)
+        assert size <= len(order)
+        assert not any(order[p] in g.provisional for found in lists.values() for p in found)
         fresh: dict = {}
-        for p in range(index.size):
-            if order[p] not in index.holes:
+        for p in range(size):
+            if order[p] not in g.provisional:
                 for seq in _compared(g.embedding_cache[(order[p], l, mode)]):
                     fresh.setdefault(seq, []).append(p)
-        assert index.lists == fresh
+        assert lists == fresh
 
 
 @pytest.mark.parametrize("mode", MODES)
