@@ -31,12 +31,12 @@ _FILE_IN = click.Path(exists=True, dir_okay=False)
 
 
 def _in_a_writable_directory(ctx, param, path):
-    """An output path as given, or a usage error if its directory is missing
-    or not writable. Options are parsed before a command reads any input, so
-    a bad path fails first, not in a traceback once the work is done; click's
-    own `writable` check reads only a file that exists."""
-    if path is not None:
-        directory = os.path.dirname(os.path.realpath(path))     # through any symlink
+    """An output path as given, or a usage error if the directory a file (not
+    a device or pipe) is saved in, through any symlink, is missing or not
+    writable: click's `writable` reads only a file that exists. Options are
+    parsed before any input is read, so a bad path fails before the work."""
+    if path is not None and (os.path.isfile(path) or not os.path.exists(path)):
+        directory = os.path.dirname(os.path.realpath(path))
         if not os.path.isdir(directory):
             raise click.BadParameter(f"directory {directory!r} does not exist", ctx, param)
         if not os.access(directory, os.W_OK | os.X_OK):

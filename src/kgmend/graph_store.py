@@ -419,8 +419,8 @@ def save_graph(g: GraphStore, path) -> None:
     its permissions, moved onto it once written: a save that fails midway
     leaves it as it was. A device or pipe is written in place."""
     order = sorted(g.all_tuples(), key=itemgetter(0))
-    path = os.path.realpath(path)
     in_place = os.path.exists(path) and not os.path.isfile(path)
+    path = path if in_place else os.path.realpath(path)    # /dev/stdout must not resolve to pipe:[N]
     part = path if in_place else f"{path}.{os.getpid()}.part"
     try:
         with open(part, "w", encoding="utf-8") as fh:

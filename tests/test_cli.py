@@ -409,6 +409,22 @@ def test_an_output_symlink_is_checked_at_its_target_and_saved_through(runner, tm
         load_graph(tmp_path / "graph.tsv").all_tuples())
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_an_output_graph_on_stdout_is_written_to_the_pipe(tmp_path):
+    # /dev/stdout on a pipe links to `pipe:[N]`, which names no path: the
+    # graph goes down the pipe, and no directory check fails on that text
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = _every_command(tmp_path)["enhance"] + ["--out-decisions", str(tmp_path / "d.jsonl"),
+                                                  "--out-graph", "/dev/stdout"]
+    result = subprocess.run([sys.executable, "-m", "kgmend.cli", *args], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    (tmp_path / "piped.tsv").write_text(result.stdout)
+    assert set(load_graph(tmp_path / "piped.tsv").all_tuples()) >= set(
+        load_graph(tmp_path / "graph.tsv").all_tuples())
+
+
 def test_an_output_file_in_the_working_directory_is_accepted(runner, tmp_path, monkeypatch):
     args = _every_command(tmp_path)["enhance"]
     monkeypatch.chdir(tmp_path)

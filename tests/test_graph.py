@@ -295,6 +295,19 @@ def test_a_pipe_is_saved_to_in_place(tmp_path):
     assert stat.S_ISFIFO(pipe.stat().st_mode) and list(tmp_path.iterdir()) == [pipe]
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_pipe_named_through_dev_fd_is_saved_to_in_place():
+    """`/dev/fd/N` is a link whose text, `pipe:[N]`, names no path: the pipe
+    is written through the link, not resolved to a file beside that text."""
+    r, w = os.pipe()
+    with os.fdopen(r, encoding="utf-8") as reader:
+        try:
+            save_graph(small_graph(), f"/dev/fd/{w}")
+        finally:
+            os.close(w)
+        assert reader.read() == "a\tr\tb\na\ts\tc\nb\tr\tc\n"
+
+
 @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
 def test_a_symlink_is_saved_through_to_its_target(tmp_path):
     """The link stays a link, and the file it names holds the new graph."""
