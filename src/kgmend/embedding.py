@@ -177,23 +177,18 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
     return PathEmbedding(center_label=center, radius=l, mode=mode, paths=paths)
 
 
-def _check_comparable(m1: PathEmbedding, m2: PathEmbedding) -> None:
-    if m1.center_label != m2.center_label:
-        raise ValueError(f"center labels differ: {m1.center_label!r} vs {m2.center_label!r}")
-    if m1.radius != m2.radius:
-        raise ValueError(f"radii differ: {m1.radius} vs {m2.radius}")
-    if m1.mode != m2.mode:
-        raise ValueError(f"canonicalization modes differ: {m1.mode!r} vs {m2.mode!r}")
-
-
 def sim(m1: PathEmbedding, m2: PathEmbedding) -> float:
     """Common-path count, the intersection size of the `compared` multisets,
     over the smaller multiset size, in [0, 1]. Zero when either embedding is
     empty (the cold-start convention: no side paths means no evidence). One
     pass over the smaller counts; the sums are integers, so the order of the
     pass cannot change the score."""
-    if m1.center_label != m2.center_label or m1.radius != m2.radius or m1.mode != m2.mode:
-        _check_comparable(m1, m2)
+    if m1.center_label != m2.center_label:
+        raise ValueError(f"center labels differ: {m1.center_label!r} vs {m2.center_label!r}")
+    if m1.radius != m2.radius:
+        raise ValueError(f"radii differ: {m1.radius} vs {m2.radius}")
+    if m1.mode != m2.mode:
+        raise ValueError(f"canonicalization modes differ: {m1.mode!r} vs {m2.mode!r}")
     small, large = m1.compared, m2.compared
     if not small or not large:
         return 0.0

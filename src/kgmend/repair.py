@@ -176,17 +176,16 @@ def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
     return [(label, joint) for label, _, joint in scored]
 
 
-def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
-                 context_ignore: frozenset = frozenset()) -> RepairDecision:
+def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig) -> RepairDecision:
     """Validate the Top-1 label, then walk the joint-ranked alternatives.
 
     Unknown classifications follow cfg.unknown_policy: accept passes them,
     hold defers the whole record, reject treats them as failures. When Top-1
     fails, `joint_scores` ranks the Top-k labels and the first alternative in
     that order that passes wins. Each label is sampled and decided once, when
-    its link score is first asked for. `context_ignore` names provisional
-    tuples sharing the snapshot that must not count as committed evidence;
-    the record's own Top-1 tuple is always ignored.
+    its link score is first asked for. The record's own Top-1 tuple and, in
+    an overlay, the tuples it inserted (`g.provisional`) never count as
+    committed evidence.
     """
     top_label, top_p = rec.candidates[0]
     if top_label == NA or top_p < cfg.p_th:
@@ -194,8 +193,8 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                               status=REJECTED, joint=0.0, support=0)
     vcfg = cfg.validation
     initial = Tuple(rec.head, top_label, rec.tail)
-    # repair_instance's context holds initial unless g held it already; only then is it copied
-    ignore = context_ignore if initial in context_ignore else context_ignore | {initial}
+    # the overlay inserted initial unless g held it already; only then is the set copied
+    ignore = g.provisional if initial in g.provisional else g.provisional | {initial}
     evidence, reports = {}, {}      # label -> its sampled evidence, and its decided report
 
     # Every sampled label is decided, not only those up to the winner. A label's first
@@ -240,8 +239,8 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
     label's sorted list in place, so no record sorts a label.
     """
     instance = initial_instance(records, cfg.p_th)
-    with g.overlay(instance) as context:
-        return [repair_tuple(g, rec, cfg, context) for rec in records]
+    with g.overlay(instance):
+        return [repair_tuple(g, rec, cfg) for rec in records]
 
 
 # -- prediction and decision files -------------------------------------------

@@ -102,7 +102,7 @@ def sample_centers(
         return [(order[i + (i >= skip)], False) for i in picks]
     chosen = [(order[i + (i >= skip)], False) for i in range(available)]
     aux = g.aux_source
-    if aux is not None and len(chosen) < cfg.sample_size:
+    if aux is not None:
         aux_order = aux.tuples_with_relation(r)
         need = min(cfg.sample_size - len(chosen), len(aux_order))
         if need > 0:

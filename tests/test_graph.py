@@ -345,8 +345,9 @@ _SORT_TUPLE = st.builds(Tuple, _SORT_CELL, st.one_of(st.sampled_from(["r", "r\x0
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(tuples=st.lists(_SORT_TUPLE, max_size=40))
 def test_canonical_orders_are_tuple_order(tuples):
-    # `tuples_with_relation` and `save_graph` sort by string keys in stable
-    # passes; both must give exactly what `sorted` gives by comparing Tuples
+    # `tuples_with_relation` keeps each label in Tuple order, and `save_graph`
+    # merges those runs in one stable sort by the head string; both must give
+    # exactly what `sorted` gives by comparing Tuples
     g = GraphStore()
     for s in tuples:
         g.add_tuple(s)

@@ -355,6 +355,7 @@ def test_instance_decisions_are_per_record_repairs_in_input_order():
         for i in range(12):
             g.add_tuple(Tuple(f"h{i}", "q", f"xh{i}"))
             records.append(rec(f"r{i}", f"h{i}", f"t{i}", ("wrong", 0.8), ("r", 0.6)))
+        records.insert(6, rec("again", "a0", "b0", ("r", 0.9)))     # re-predicts a committed fact
         return g, records
 
     g, records = build()
@@ -363,8 +364,9 @@ def test_instance_decisions_are_per_record_repairs_in_input_order():
     g, records = build()
     instance = initial_instance(records, rcfg().p_th)
     with g.overlay(instance):
-        one_by_one = [repair_tuple(g, r, rcfg(), frozenset(instance)) for r in records]
+        one_by_one = [repair_tuple(g, r, rcfg()) for r in records]
     assert decisions == one_by_one
+    assert decisions[6].status == "Accepted"
     assert [d.id for d in decisions] == [r.id for r in records]
 
 
@@ -406,13 +408,15 @@ def test_repair_tuple_matches_the_reference_walk(graph_seed, endpoints, candidat
         instance.append(Tuple(head, record.candidates[0][0], tail))
 
     def decide(repair_fn):
-        # a fresh copy of the graph each, so that neither reads the other's caches
+        # a fresh copy of the graph each, so that neither reads the other's caches;
+        # the reference is given what the overlay inserts, repair_tuple reads g.provisional
         g = random_graph(random.Random(graph_seed), max_vertices=6)
         provisional = frozenset(s for s in instance if s not in g)
         with g.overlay(instance):
             return repair_fn(g, record, cfg, provisional)
 
-    got, want = decide(repair_tuple), decide(reference_repair_tuple)
+    got = decide(lambda g, record, cfg, _: repair_tuple(g, record, cfg))
+    want = decide(reference_repair_tuple)
     assert (got.to_json(), got.checks, got.support) == (want.to_json(), want.checks, want.support)
 
 

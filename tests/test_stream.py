@@ -176,7 +176,7 @@ def test_no_record_pays_for_its_top1_labels_sort(monkeypatch):
     seen = []
     repair_tuple = repair.repair_tuple
 
-    def checked(g, record, cfg, context_ignore=frozenset()):
+    def checked(g, record, cfg):
         labels = {r: (occurrences, list(occurrences)) for r, occurrences in g._by_relation.items()}
         sorts = []
 
@@ -188,7 +188,7 @@ def test_no_record_pays_for_its_top1_labels_sort(monkeypatch):
         outer = sys.getprofile()
         sys.setprofile(profile)
         try:
-            return repair_tuple(g, record, cfg, context_ignore)
+            return repair_tuple(g, record, cfg)
         finally:
             sys.setprofile(outer)
             kept = all(g._by_relation.get(r) is held and held == copy for r, (held, copy) in labels.items())
