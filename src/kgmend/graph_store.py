@@ -5,8 +5,8 @@ else, and all three hold the same stored Tuple objects: every query returns
 those objects and builds none. Degrees, vertices and the edge count are
 derived from the indexes when asked for. Beside them sit two read caches: the
 path embeddings of stored witness patterns and hubs' walk tables, with, for
-every vertex, the cached entries whose walks read its edges, and, until the
-next write, the scan's posting indexes (built by `validation`). Set
+every vertex, the cached entries whose walks read its edges, and the
+scan's posting indexes (built by `validation`, kept across writes). Set
 semantics, which the relation index's sorted lists keep: the same tuple is
 never stored twice, but parallel edges with different labels between the
 same endpoints are fine. The reserved label NA ("no relation") is never
@@ -73,8 +73,13 @@ class GraphStore:
     hub's two-step table is registered under its key instead of the hub's
     neighbours, and dropping a table drops every entry registered under it.
 
-    The posting indexes live until the next write, which drops them all, and
-    list no tuple in `provisional`: those the open overlay inserted, or none.
+    A label's posting index under (l, mode) lists, in Tuple order, each
+    occurrence up to its last indexed one under the sequences of its cached
+    witness embedding, but none in `provisional` (those the open overlay
+    inserted, or none) or pending. A listing is valid as long as that
+    embedding: evicting it strikes the occurrence off and queues it as
+    pending, as does a committed insert up to the last; a removal drops it
+    from pending. The next scan of the label lists what is pending.
     """
 
     def __init__(self) -> None:
@@ -84,7 +89,8 @@ class GraphStore:
         self.version = 0
         # (center, l, mode) -> PathEmbedding of stored witnesses
         self.embedding_cache: dict = {}
-        # (relation, l, mode) -> validation's posting index; dropped on any write
+        # relation -> (l, mode) -> validation's posting index: (sequence ->
+        # occurrences, the last indexed, pending), kept across writes
         self.postings: dict = {}
         self.provisional: frozenset = frozenset()     # what the open overlay inserted
         # vertex or table key -> the cache key, or set of keys, registered under
@@ -104,7 +110,7 @@ class GraphStore:
             return False
         bucket.insert(i, s)
         self._link(s)
-        self._touch(s)
+        self._touch(s, True)
         return True
 
     def fill(self, tuples: Iterable[Tuple]) -> None:
@@ -154,15 +160,20 @@ class GraphStore:
             del held[-1 if held[-1] == s else held.index(s)]
             if len(held) == 1:
                 index[v] = held[0]
-        self._touch(s)
+        self._touch(s, False)
         return True
 
-    def _touch(self, s: Tuple) -> None:
-        if self.postings:
-            self.postings.clear()
+    def _touch(self, s: Tuple, added: bool) -> None:
         if self.embedding_cache:
             self._evict(s.head)
             self._evict(s.tail)
+        indexes = self.postings.get(s.relation)     # one miss for a label with no index
+        if indexes:
+            for _, last, pending in indexes.values():
+                if not added:
+                    pending.discard(s)
+                elif s <= last:
+                    pending.add(s)
 
     def _evict(self, v) -> None:
         """Drop what is registered under v, a vertex or a dropped table's key."""
@@ -170,8 +181,24 @@ class GraphStore:
         if held is None:
             return
         for key in held if type(held) is set else (held,):
-            if self.embedding_cache.pop(key, None) is not None:
+            entry = self.embedding_cache.pop(key, None)
+            if entry is not None:
+                if len(key) == 3:       # a witness (center, l, mode), maybe listed
+                    self._unlist(key, entry)
                 self._evict(key)
+
+    def _unlist(self, key, embedding) -> None:
+        """Strike an evicted witness off its label's posting index, where it is
+        listed under `embedding`'s sequences, and queue it for the next scan."""
+        center, l, mode = key
+        index = self.postings.get(center.relation, {}).get((l, mode))
+        if index is None or center > index[1] or center in index[2] or center in self.provisional:
+            return
+        lists, _, pending = index
+        for seq in embedding.compared:
+            found = lists[seq]
+            del found[bisect_left(found, center)]
+        pending.add(center)
 
     def cache_embedding(self, key, embedding, vertices: Iterable) -> None:
         """Cache a witness embedding or a hub's walk table under `vertices`, those
@@ -205,9 +232,9 @@ class GraphStore:
             self.provisional = frozenset(inserted)
             yield self.provisional
         finally:
-            self.provisional = frozenset()
             for s in reversed(inserted):
                 self.remove_tuple(s)
+            self.provisional = frozenset()
             self.bump_version()
 
     # -- queries -----------------------------------------------------------

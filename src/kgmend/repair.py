@@ -198,9 +198,9 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig) -> Rep
     evidence, reports = {}, {}      # label -> its sampled evidence, and its decided report
 
     # Every sampled label is decided, not only those up to the winner. A label's first
-    # escalation in a snapshot builds its posting index; deciding them all keeps those
-    # builds in a snapshot's first few failing records, where stopping at the winner
-    # spreads them over one record per label and lengthens the per-record latency tail.
+    # escalation builds its posting index, which later snapshots keep; deciding them all
+    # keeps those builds in the first snapshot's first few failing records, where stopping
+    # at the winner spreads them over one record per label and lengthens the latency tail.
     # Top-1's candidate paths serve the other labels: one walk per record.
     def link(g, h, t, r, vcfg) -> float:
         if r not in evidence:

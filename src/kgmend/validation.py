@@ -3,11 +3,12 @@
 A candidate is Valid when enough sampled same-label patterns look similar to
 its own localized pattern (the support set is the implicit constraint: no
 mined rules, just structural precedent). A short sample escalates to a scan
-of further occurrences; the scan reads a posting index (label, l, mode) ->
-sequence -> occurrence positions, kept on the GraphStore until its next
-write, since a witness must share a sequence with the candidate; it skips
-the provisional tuples every check in an overlay ignores. With no support,
-committed edges around the candidate's endpoints decide Invalid or Unknown.
+of further occurrences; the scan reads a posting index label -> (l, mode) ->
+sequence -> occurrences, since a witness must share a sequence with the
+candidate. The index lives on the GraphStore across writes, which queue only
+what they change, and skips the provisional tuples every check in an overlay
+ignores. With no support, committed edges around the candidate's endpoints
+decide Invalid or Unknown.
 
 A check walks the store around the candidate's endpoints and copies none of
 it. Embeddings keep label-free paths, so a record's labels share one
@@ -19,7 +20,7 @@ its walks read, those within l - 1 of an endpoint, or under a hub table's key.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 try:
@@ -176,23 +177,30 @@ def _scan_window(order: list, cap: int, ignore, skip: set) -> tuple[int, bool]:
     return end, end > skipped
 
 
-def _shared_positions(g: GraphStore, cfg: ValidationConfig, order: list, end: int,
-                      cand: PathEmbedding) -> list[int]:
-    """Ascending positions below `end` whose witness embedding shares a
-    sequence with cand, from the label's posting index (sequence -> positions
-    below `size`, none in `g.provisional`), extended to the largest `end` asked."""
-    key = (cand.center_label, cfg.l, cfg.mode)
-    lists, size = g.postings.get(key, ({}, 0))
-    for p in range(size, end):
-        if order[p] not in g.provisional:
-            for seq in witness_embedding(g, order[p], cfg).compared:
-                lists.setdefault(seq, []).append(p)
-    g.postings[key] = lists, max(size, end)
+def _shared_occurrences(g: GraphStore, cfg: ValidationConfig, order: list, end: int,
+                        cand: PathEmbedding) -> list[Tuple]:
+    """The occurrences in order[:end] whose witness embedding shares a sequence
+    with cand, in Tuple order, from the label's posting index (`GraphStore`).
+    A scan lists what is pending, then indexes up to order[end - 1]."""
+    indexes = g.postings.setdefault(cand.center_label, {})
+    lists, last, pending = indexes.get((cfg.l, cfg.mode)) or ({}, None, set())
+    for c in pending:
+        if c not in g.provisional:
+            for seq in witness_embedding(g, c, cfg).compared:
+                insort(lists.setdefault(seq, []), c)
+    pending.clear()
+    start = 0 if last is None else bisect_right(order, last)
+    if start < end:
+        for c in order[start:end]:
+            if c not in g.provisional:
+                for seq in witness_embedding(g, c, cfg).compared:
+                    lists.setdefault(seq, []).append(c)
+        indexes[cfg.l, cfg.mode] = lists, order[end - 1], pending
     hits = set()
     for seq in cand.compared:
         found = lists.get(seq)
         if found:
-            hits.update(found[:bisect_left(found, end)])
+            hits.update(found if end == len(order) else found[:bisect_left(found, order[end])])
     return sorted(hits)
 
 
@@ -218,8 +226,7 @@ def support_from_evidence(g: GraphStore, s: Tuple, cfg: ValidationConfig, ev: Ev
         order = g.tuples_with_relation(s.relation)
         skip = {c for c, _ in [(s, False), *ev.centers] if c not in ignore}
         end, escalated = _scan_window(order, cfg.scan_cap, ignore, skip)
-        for p in _shared_positions(g, cfg, order, end, ev.candidate):
-            center = order[p]
+        for center in _shared_occurrences(g, cfg, order, end, ev.candidate):
             if center in skip or center in ignore:
                 continue
             if sim(ev.candidate, witness_embedding(g, center, cfg)) > cfg.theta:

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from kgmend import GraphStore, Tuple, embedding, load_graph
+from kgmend import GraphStore, Tuple, embedding, load_graph, validation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +103,39 @@ def read_through(g: GraphStore, registered) -> set:
     for v in registered:
         found.update(registered_under(g, v) if isinstance(v, tuple) else (v,))
     return found
+
+
+def count_postings(monkeypatch) -> tuple[Counter, Counter]:
+    """Count, per occurrence, its listings in a posting index and the writes
+    that struck it off one. A listing reads the witness embedding that
+    `validation._shared_occurrences` asks for, which it reads for nothing
+    else; a strike queues a listed occurrence as pending again."""
+    listed, struck, listing = Counter(), Counter(), []
+    shared, build, unlist = validation._shared_occurrences, validation.witness_embedding, GraphStore._unlist
+
+    def counted_shared(*args):
+        listing.append(True)
+        try:
+            return shared(*args)
+        finally:
+            listing.pop()
+
+    def counted_build(source, center, cfg):
+        if listing:
+            listed[center] += 1
+        return build(source, center, cfg)
+
+    def counted_unlist(g, key, entry):
+        center, l, mode = key
+        pending = g.postings.get(center.relation, {}).get((l, mode), (None, None, ()))[2]
+        queued = center in pending
+        unlist(g, key, entry)
+        struck[center] += not queued and center in pending
+
+    monkeypatch.setattr(validation, "_shared_occurrences", counted_shared)
+    monkeypatch.setattr(validation, "witness_embedding", counted_build)
+    monkeypatch.setattr(GraphStore, "_unlist", counted_unlist)
+    return listed, struck
 
 
 # the store's threshold, and one at which every vertex with an edge shares its walk tables

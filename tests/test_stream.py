@@ -6,8 +6,10 @@ import gc
 import hashlib
 import json
 import logging
+import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -27,10 +29,12 @@ from kgmend import (
     load_label_map,
     run,
 )
-from kgmend import repair, stream
+from kgmend import repair, stream, validation
+from kgmend.embedding import MODES
 from kgmend.graph_store import GraphFormatError
 from kgmend.repair import PredictionFormatError, RepairDecision
 
+from conftest import count_postings
 from oracle import pairwise_support_from_evidence
 
 VCFG = ValidationConfig(l=1, sample_size=4)
@@ -343,6 +347,62 @@ def test_indexed_scan_matches_pairwise_on_a_seeded_stream(monkeypatch):
     log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), RepairConfig(), slice_size=500)
     assert len(log) == len(records)
     assert seen["escalated"] and seen["scan_hits"]      # neither side may pass vacuously
+
+
+@pytest.mark.parametrize("vcfg", [ValidationConfig(), ValidationConfig(l=1, mode="positional", sample_size=3)])
+def test_the_posting_index_lists_each_occurrence_once_across_slices(monkeypatch, vcfg):
+    # an index outlives the commits between slices, so an occurrence is listed
+    # again only after a write beside it struck it off
+    g, records, _ = benchmark_generate(
+        BenchmarkSpec(records=600, labels=6, occurrences_per_label=10, density=0.8, seed=0))
+    listed, struck = count_postings(monkeypatch)
+    _, results = run(g, iter(inject_errors(records, rate=0.3, seed=0)), RepairConfig(validation=vcfg),
+                     slice_size=50)
+    assert len(results) >= 12 and listed
+    assert all(n <= 1 + struck[center] for center, n in listed.items()), listed.most_common(3)
+
+
+def _shared_entity_stream(seed: int) -> tuple[GraphStore, list[PredictionRecord]]:
+    """A benchmark graph and its records, about half of them given the head or
+    tail of an earlier record or of a stored occurrence: commits then write
+    beside listed witnesses. Records planted with no context are held."""
+    g, records, _ = benchmark_generate(BenchmarkSpec(
+        records=240, labels=4, occurrences_per_label=8, density=0.6, seed=seed))
+    rng = random.Random(seed)
+    stored = sorted(g.all_tuples())
+    mixed: list[PredictionRecord] = []
+    for r in inject_errors(records, rate=0.3, seed=seed):
+        if mixed and rng.random() < 0.5:
+            other = rng.choice(mixed) if rng.random() < 0.6 else rng.choice(stored)
+            r = replace(r, head=other.head) if rng.random() < 0.5 else replace(r, tail=other.tail)
+        mixed.append(r)
+    return g, mixed
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_kept_posting_index_decides_as_one_rebuilt_for_every_scan(monkeypatch, mode, l, seed):
+    cfg = RepairConfig(validation=ValidationConfig(l=l, mode=mode, sample_size=3))
+    outcomes = []
+    for rebuilt in (False, True):
+        with monkeypatch.context() as m:
+            _, struck = count_postings(m)
+            if rebuilt:
+                shared = validation._shared_occurrences
+
+                def fresh(g, *args):
+                    g.postings.clear()
+                    return shared(g, *args)
+
+                m.setattr(validation, "_shared_occurrences", fresh)
+            g, records = _shared_entity_stream(seed)
+            log, results = run(g, iter(records), cfg, slice_size=20)
+        held = sum(result.counts["Held"] for result in results)
+        outcomes.append(([dec.to_json() for dec in log], sorted(g.all_tuples())))
+        if not rebuilt:
+            assert sum(struck.values()) and held     # commits struck listed witnesses; records were held
+    assert outcomes[0] == outcomes[1]
 
 
 def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter]:

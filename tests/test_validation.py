@@ -39,8 +39,8 @@ from kgmend.validation import (
     witness_embedding,
 )
 
-from conftest import (HUB_THRESHOLDS, LABELS, cache_registrations, center_with_parallels, hub_edges,
-                      random_graph, read_through, registered_under)
+from conftest import (HUB_THRESHOLDS, LABELS, cache_registrations, center_with_parallels, count_postings,
+                      hub_edges, random_graph, read_through, registered_under)
 from oracle import pairwise_support_from_evidence, undirected_dist
 
 
@@ -215,13 +215,14 @@ def test_scan_window_counts_only_eligible_occurrences(decoys, found, ignore_self
     assert report.witnesses == ([(twin, False)] if found else [])
 
 
-def test_postings_serve_every_ignore_set_and_are_dropped_on_any_write():
+def test_postings_serve_every_ignore_set_and_are_kept_across_writes(monkeypatch):
     g = window_graph(1)     # born_in: a_self, b_ignored, c_sampled0, c_sampled1, d00, z_twin
     g.add_tuple(Tuple("p9", "works_in", "p9_w"))
     s = Tuple("p9", "born_in", "p9_c")
     cfg = ValidationConfig(l=1, delta=3)
     ev = Evidence(candidate=candidate_embedding(g, s, cfg), centers=[], sims=[])
     twins = [Tuple(head, "born_in", f"{head}_c") for head in ("a_self", "b_ignored", "z_twin")]
+    listed, _ = count_postings(monkeypatch)
 
     def witnesses(ignore=frozenset(), **changes) -> list:
         checked = replace(cfg, **changes)
@@ -232,14 +233,41 @@ def test_postings_serve_every_ignore_set_and_are_dropped_on_any_write():
 
     assert witnesses(frozenset(twins[:2])) == twins[2:]    # the index lists the ignored twins too
     assert witnesses() == twins                            # and a later caller reads them there
-    assert g.postings
+    assert listed == Counter(g.tuples_with_relation("born_in"))     # each listed once
+    kept = g.postings["born_in"][1, "sorted"]
     g.add_tuple(Tuple("a0", "works_in", "a0_w"))           # far from every cached pattern,
-    assert g.postings == {}                                # yet every index is dropped
+    assert g.postings["born_in"][1, "sorted"] is kept      # so the index stays as it was
+    _assert_cache_coherent(g)
     early = Tuple("a0", "born_in", "a0_c")
-    g.add_tuple(early)                                     # it shifts every position
+    g.add_tuple(early)                                     # it sorts before every listed one
+    assert kept[2] == {early}                              # and waits for the next scan
+    listed.clear()
     assert witnesses() == [early] + twins[:2]
+    assert listed == Counter([early])                      # which lists it alone
     assert witnesses(delta=4, scan_cap=6) == [early] + twins[:2]    # z_twin is 7th of 7
     assert witnesses(delta=4, scan_cap=7) == [early] + twins
+    assert listed == Counter([early])
+
+
+def test_a_write_beside_a_listed_occurrence_relists_it_under_its_new_sequences():
+    # d00 is listed under its `unrelated` context alone; a works_in edge at its
+    # head evicts its witness, and the store strikes it off and queues it, so
+    # the next scan lists it under the candidate's sequence and finds it
+    g = window_graph(1)
+    g.add_tuple(Tuple("p9", "works_in", "p9_w"))
+    s = Tuple("p9", "born_in", "p9_c")
+    cfg = ValidationConfig(l=1, delta=4)
+    ignore = frozenset(Tuple(head, "born_in", f"{head}_c") for head in ("a_self", "b_ignored", "z_twin"))
+    ev = Evidence(candidate=candidate_embedding(g, s, cfg), centers=[], sims=[])
+    decoy = Tuple("d00", "born_in", "d00_c")
+    assert support_from_evidence(g, s, cfg, ev, ignore).witnesses == []
+    assert decoy in g.postings["born_in"][1, "sorted"][0][("unrelated",)]
+    g.add_tuple(Tuple("d00", "works_in", "d00_w"))
+    _assert_cache_coherent(g)
+    report = support_from_evidence(g, s, cfg, ev, ignore)
+    assert report == pairwise_support_from_evidence(g, s, cfg, ev, ignore)
+    assert report.witnesses == [(decoy, False)]
+    _assert_cache_coherent(g)
 
 
 def test_checks_with_different_ignore_sets_share_one_posting_index(monkeypatch):
@@ -262,7 +290,7 @@ def test_checks_with_different_ignore_sets_share_one_posting_index(monkeypatch):
         report = support_from_evidence(g, s, cfg, ev, ignore)
         assert report.escalated and not report.witnesses
     assert walked == Counter(g.tuples_with_relation("born_in"))     # each walked once
-    assert list(g.postings) == [("born_in", 1, "sorted")]
+    assert {label: list(indexes) for label, indexes in g.postings.items()} == {"born_in": [(1, "sorted")]}
     _assert_cache_coherent(g)
 
 
@@ -283,21 +311,19 @@ def test_a_check_inside_an_overlay_must_ignore_what_the_overlay_inserted():
             assert support_from_evidence(g, s, cfg, ev, ignore) == \
                 pairwise_support_from_evidence(g, s, cfg, ev, ignore)
             _assert_cache_coherent(g)
-    assert g.provisional == frozenset() and g.postings == {}
+    # the index outlives the overlay and lists the committed occurrences alone,
+    # but for p0's: removing s at p0 evicted its witness, which waits for a scan
+    lists, _, pending = g.postings["born_in"][1, "sorted"]
+    assert g.provisional == frozenset() and pending == {Tuple("p0", "born_in", "c0")}
+    assert {c for found in lists.values() for c in found} == set(g.tuples_with_relation("born_in")) - pending
+    _assert_cache_coherent(g)
     assert classify(g, s, cfg, frozenset([other])).tuple == s   # outside one, any set will do
 
 
 def test_the_records_of_one_snapshot_share_one_posting_index_per_label(monkeypatch):
     # no write happens inside repair_instance's overlay, so every escalated
-    # label's index is built once, even with a re-predicted committed fact last
-    built = []
-
-    class Counted(dict):
-        def __setitem__(self, key, index):
-            if key not in self:
-                built.append(key)
-            super().__setitem__(key, index)
-
+    # label's index is built once, even with a re-predicted committed fact
+    # last, and lists each occurrence once
     escalated = set()
 
     def recorded(g, s, cfg, ev, ignore=frozenset()):
@@ -307,15 +333,18 @@ def test_the_records_of_one_snapshot_share_one_posting_index_per_label(monkeypat
         return report
 
     monkeypatch.setattr(repair, "support_from_evidence", recorded)
+    listed, _ = count_postings(monkeypatch)
     g, records, _ = benchmark_generate(
         BenchmarkSpec(records=60, labels=3, occurrences_per_label=10, seed=0))
-    g.postings = Counted()
     committed = Tuple("e00_0a", "rel00", "e00_0b")
     assert committed in g
     records = inject_errors(records, rate=0.3, seed=0)
     records.append(PredictionRecord("again", committed.head, committed.tail, (("rel00", 0.9),)))
     repair_instance(g, records, RepairConfig())
-    assert escalated and len(built) <= len(escalated), (len(built), escalated)
+    assert escalated and {label: list(indexes) for label, indexes in g.postings.items()} == \
+        {label: [(2, "sorted")] for label in escalated}
+    assert listed and set(listed.values()) == {1}
+    _assert_cache_coherent(g)
 
 
 def test_classify_invalid_when_other_label_links_endpoints():
@@ -432,8 +461,11 @@ def _assert_cache_coherent(g: GraphStore) -> None:
     the vertices and live tables whose edits must evict it, which together
     read the edges of at least the vertices within l - 1 of an endpoint. A
     key may stay listed where an evicted entry under it read, and a vertex
-    holds a key bare or a set of two or more. Each posting list holds the
-    positions whose witness holds its sequence, none of them provisional."""
+    holds a key bare or a set of two or more. A label's posting index under
+    (l, mode) lists, in Tuple order, every occurrence up to its last indexed
+    one that is neither pending nor provisional, under exactly the sequences
+    of a fresh embedding, which is the cached one; it lists nothing else, and
+    what is pending is stored and up to that last one."""
     for key, cached in g.embedding_cache.items():
         registered = registered_under(g, key)
         if len(key) == 2:
@@ -448,16 +480,19 @@ def _assert_cache_coherent(g: GraphStore) -> None:
         assert all(v in g.embedding_cache for v in registered if isinstance(v, tuple))
         assert read_through(g, registered) >= _within(g, center, l - 1)
     assert all(type(held) is not set or len(held) > 1 for held in g._cache_keys.values())
-    for (label, l, mode), (lists, size) in g.postings.items():
+    for label, indexes in g.postings.items():
         order = g.tuples_with_relation(label)
-        assert size <= len(order)
-        assert not any(order[p] in g.provisional for found in lists.values() for p in found)
-        fresh: dict = {}
-        for p in range(size):
-            if order[p] not in g.provisional:
-                for seq in _compared(g.embedding_cache[(order[p], l, mode)]):
-                    fresh.setdefault(seq, []).append(p)
-        assert lists == fresh
+        for (l, mode), (lists, last, pending) in indexes.items():
+            below = [c for c in order if c <= last]
+            assert pending <= set(below)
+            assert not any(c in g.provisional for found in lists.values() for c in found)
+            assert all((c, l, mode) in g.embedding_cache for found in lists.values() for c in found)
+            fresh: dict = {}
+            for c in below:
+                if c not in pending and c not in g.provisional:
+                    for seq in _compared(traverse_r(extract_pattern(g, c, l), l, mode)):
+                        fresh.setdefault(seq, []).append(c)
+            assert {seq: found for seq, found in lists.items() if found} == fresh
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -653,6 +688,13 @@ def _check_against_pairwise(g: GraphStore, check, provisional: frozenset = froze
 @settings(max_examples=150, deadline=None)
 @given(initial=st.lists(_SCAN_EDGE, max_size=20), ops=_SCAN_OPS)
 def test_indexed_scan_equals_the_pairwise_scan(initial, ops):
+    """Also with walk tables kept for every vertex, whose drops evict what read them."""
+    for edges in HUB_THRESHOLDS:
+        with hub_edges(edges):
+            _scans_after_mutations(initial, ops)
+
+
+def _scans_after_mutations(initial, ops) -> None:
     g = GraphStore()
     for s in initial:
         g.add_tuple(s)
