@@ -79,7 +79,8 @@ class GraphStore:
     inserted, or none) or pending. A listing is valid as long as that
     embedding: evicting it strikes the occurrence off and queues it as
     pending, as does a committed insert up to the last; a removal drops it
-    from pending. The next scan of the label lists what is pending.
+    from pending. What is pending is listed when the next snapshot opens
+    (`validation.list_pending`), or else by the label's next scan.
     """
 
     def __init__(self) -> None:
@@ -189,7 +190,7 @@ class GraphStore:
 
     def _unlist(self, key, embedding) -> None:
         """Strike an evicted witness off its label's posting index, where it is
-        listed under `embedding`'s sequences, and queue it for the next scan."""
+        listed under `embedding`'s sequences, and queue it to be listed again."""
         center, l, mode = key
         index = self.postings.get(center.relation, {}).get((l, mode))
         if index is None or center > index[1] or center in index[2] or center in self.provisional:

@@ -4,15 +4,20 @@ Each prediction record carries Top-k relation labels with probabilities. The
 initial guess is the Top-1 label; when it fails validation, the alternatives
 are retried in descending joint score, the product of the acquisition
 probability and a structural linkage prediction. Nothing passing means NA.
+A linkage prediction lies in [0, 1], so no joint score exceeds its
+probability: an alternative is checked only while its probability reaches
+the best joint score not yet tried, and those behind the winner never are.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .graph_store import GraphStore, NA, Tuple, identifier, open_input
-from .validation import UNKNOWN, VALID, ValidationConfig, gather_evidence, support_from_evidence
+from .validation import (UNKNOWN, VALID, ValidationConfig, gather_evidence, list_pending,
+                         support_from_evidence)
 
 ACCEPTED = "Accepted"
 REPAIRED = "Repaired"
@@ -72,7 +77,9 @@ class RepairDecision:
     joint: float
     support: int
     terminal: bool = False
-    checks: int = 0      # labels sampled and decided, at most k; Top-1 alone when it passes
+    # labels sampled and decided, at most k: Top-1, then each alternative whose p
+    # reaches the winner's joint, or every one when none passes
+    checks: int = 0
 
     def to_json(self) -> str:
         payload = {
@@ -160,20 +167,41 @@ def _top_k_labels(rec: PredictionRecord, k: int) -> list[tuple[str, float]]:
     return list(first.items())[:k]
 
 
+def _ranked(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig, link):
+    """Yield the Top-k labels as `(label, joint)`, descending joint, then p,
+    then label, asking for a label's link only while it could still come next.
+
+    A link lies in [0, 1], so a joint is at most max(p, 0): the labels are
+    scored in descending p, and the best scored one is yielded once no
+    unscored p reaches its joint (Fagin, Lotem & Naor's threshold algorithm).
+    """
+    # parse_record lets a later p exceed an earlier one by 1e-12, so candidate order will not do
+    unscored = sorted(_top_k_labels(rec, cfg.k), key=lambda row: -row[1])
+    scored = []             # (-joint, -p, label, joint), sorted: the best first
+    i = 0
+    while i < len(unscored) or scored:
+        while i < len(unscored) and (not scored or max(unscored[i][1], 0.0) >= scored[0][3]):
+            label, p = unscored[i]
+            i += 1
+            score = link(g, rec.head, rec.tail, label, cfg.validation)
+            if not 0 <= score <= 1:     # NaN too: the bound and the sort would both break
+                raise ValueError(f"link score {score!r} of {label!r} is outside [0, 1]")
+            joint = p * score
+            insort(scored, (-joint, -p, label, joint))
+        _, _, label, joint = scored.pop(0)
+        yield label, joint
+
+
 def joint_scores(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig,
                  link_fn=None) -> list[tuple[str, float]]:
     """Acquisition probability times linkage prediction for the Top-k labels.
 
     Sorted descending, ties broken by acquisition probability then label
     string. `link_fn(g, h, t, r, cfg.validation)` may replace the built-in
-    predictor, e.g. to study a different linkage model.
+    predictor, e.g. to study a different linkage model; a score outside
+    [0, 1] raises ValueError.
     """
-    link = link_fn or predict_link
-    scored = []
-    for label, p in _top_k_labels(rec, cfg.k):
-        scored.append((label, p, p * link(g, rec.head, rec.tail, label, cfg.validation)))
-    scored.sort(key=lambda row: (-row[2], -row[1], row[0]))
-    return [(label, joint) for label, _, joint in scored]
+    return list(_ranked(g, rec, cfg, link_fn or predict_link))
 
 
 def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig) -> RepairDecision:
@@ -181,11 +209,12 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig) -> Rep
 
     Unknown classifications follow cfg.unknown_policy: accept passes them,
     hold defers the whole record, reject treats them as failures. When Top-1
-    fails, `joint_scores` ranks the Top-k labels and the first alternative in
-    that order that passes wins. Each label is sampled and decided once, when
-    its link score is first asked for. The record's own Top-1 tuple and, in
-    an overlay, the tuples it inserted (`g.provisional`) never count as
-    committed evidence.
+    fails, the alternatives are walked in `joint_scores`' order, and the
+    first that passes wins. A label is sampled and decided once, when its
+    link score is first asked for, and only while its p reaches the best
+    joint scored and not yet tried: those behind the winner are never
+    checked, unless nothing passes. The record's own Top-1 tuple and, in an overlay,
+    the tuples it inserted (`g.provisional`) never count as committed evidence.
     """
     top_label, top_p = rec.candidates[0]
     if top_label == NA or top_p < cfg.p_th:
@@ -197,10 +226,6 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig) -> Rep
     ignore = g.provisional if initial in g.provisional else g.provisional | {initial}
     evidence, reports = {}, {}      # label -> its sampled evidence, and its decided report
 
-    # Every sampled label is decided, not only those up to the winner. A label's first
-    # escalation builds its posting index, which later snapshots keep; deciding them all
-    # keeps those builds in the first snapshot's first few failing records, where stopping
-    # at the winner spreads them over one record per label and lengthens the latency tail.
     # Top-1's candidate paths serve the other labels: one walk per record.
     def link(g, h, t, r, vcfg) -> float:
         if r not in evidence:
@@ -215,7 +240,7 @@ def repair_tuple(g: GraphStore, rec: PredictionRecord, cfg: RepairConfig) -> Rep
 
     ranked = [(top_label, top_p * link(g, rec.head, rec.tail, top_label, vcfg))]
     if not passes(reports[top_label]):
-        ranked += [row for row in joint_scores(g, rec, cfg, link_fn=link) if row[0] != top_label]
+        ranked = (row for row in _ranked(g, rec, cfg, link) if row[0] != top_label)
     for label, joint in ranked:
         if passes(reports[label]):
             return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=label,
@@ -236,10 +261,12 @@ def repair_instance(g: GraphStore, records: list[PredictionRecord],
     committed fact that a record re-predicts still testifies for the others.
     Decisions come back in input order; there is no cross-record
     combinatorial search. The overlay inserts each instance tuple into its
-    label's sorted list in place, so no record sorts a label.
+    label's sorted list in place, so no record sorts a label, and the posting
+    indexes list what the last writes queued before the first record.
     """
     instance = initial_instance(records, cfg.p_th)
     with g.overlay(instance):
+        list_pending(g, cfg.validation)
         return [repair_tuple(g, rec, cfg) for rec in records]
 
 

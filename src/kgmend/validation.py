@@ -7,8 +7,10 @@ of further occurrences; the scan reads a posting index label -> (l, mode) ->
 sequence -> occurrences, since a witness must share a sequence with the
 candidate. The index lives on the GraphStore across writes, which queue only
 what they change, and skips the provisional tuples every check in an overlay
-ignores. With no support, committed edges around the candidate's endpoints
-decide Invalid or Unknown.
+ignores. What a write queued is listed when `repair_instance` opens its
+snapshot (`list_pending`), or else by the label's next scan. With no
+support, committed edges around the candidate's endpoints decide Invalid or
+Unknown.
 
 A check walks the store around the candidate's endpoints and copies none of
 it. Embeddings keep label-free paths, so a record's labels share one
@@ -177,18 +179,35 @@ def _scan_window(order: list, cap: int, ignore, skip: set) -> tuple[int, bool]:
     return end, end > skipped
 
 
+def _list_pending(g: GraphStore, cfg: ValidationConfig, index: tuple) -> None:
+    """List a posting index's pending occurrences under their witnesses'
+    sequences, but for any the open overlay inserted, which it never lists."""
+    lists, _, pending = index
+    for c in pending:
+        if c not in g.provisional:
+            for seq in witness_embedding(g, c, cfg).compared:
+                insort(lists.setdefault(seq, []), c)
+    pending.clear()
+
+
+def list_pending(g: GraphStore, cfg: ValidationConfig) -> None:
+    """List what every label's (l, mode) posting index holds pending, as a
+    snapshot opens: the listings a write queued are then built before its
+    first record, not by whichever record first scans the label."""
+    for indexes in g.postings.values():
+        index = indexes.get((cfg.l, cfg.mode))
+        if index is not None:
+            _list_pending(g, cfg, index)
+
+
 def _shared_occurrences(g: GraphStore, cfg: ValidationConfig, order: list, end: int,
                         cand: PathEmbedding) -> list[Tuple]:
     """The occurrences in order[:end] whose witness embedding shares a sequence
     with cand, in Tuple order, from the label's posting index (`GraphStore`).
     A scan lists what is pending, then indexes up to order[end - 1]."""
     indexes = g.postings.setdefault(cand.center_label, {})
-    lists, last, pending = indexes.get((cfg.l, cfg.mode)) or ({}, None, set())
-    for c in pending:
-        if c not in g.provisional:
-            for seq in witness_embedding(g, c, cfg).compared:
-                insort(lists.setdefault(seq, []), c)
-    pending.clear()
+    lists, last, pending = index = indexes.get((cfg.l, cfg.mode)) or ({}, None, set())
+    _list_pending(g, cfg, index)
     start = 0 if last is None else bisect_right(order, last)
     if start < end:
         for c in order[start:end]:

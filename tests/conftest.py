@@ -108,17 +108,20 @@ def read_through(g: GraphStore, registered) -> set:
 def count_postings(monkeypatch) -> tuple[Counter, Counter]:
     """Count, per occurrence, its listings in a posting index and the writes
     that struck it off one. A listing reads the witness embedding that
-    `validation._shared_occurrences` asks for, which it reads for nothing
-    else; a strike queues a listed occurrence as pending again."""
+    `validation._shared_occurrences` or `validation._list_pending` (a
+    snapshot's opening) asks for, which they read for nothing else; a strike
+    queues a listed occurrence as pending again."""
     listed, struck, listing = Counter(), Counter(), []
-    shared, build, unlist = validation._shared_occurrences, validation.witness_embedding, GraphStore._unlist
+    build, unlist = validation.witness_embedding, GraphStore._unlist
 
-    def counted_shared(*args):
-        listing.append(True)
-        try:
-            return shared(*args)
-        finally:
-            listing.pop()
+    def listing_in(fn):
+        def counted(*args):
+            listing.append(True)
+            try:
+                return fn(*args)
+            finally:
+                listing.pop()
+        return counted
 
     def counted_build(source, center, cfg):
         if listing:
@@ -132,7 +135,8 @@ def count_postings(monkeypatch) -> tuple[Counter, Counter]:
         unlist(g, key, entry)
         struck[center] += not queued and center in pending
 
-    monkeypatch.setattr(validation, "_shared_occurrences", counted_shared)
+    for name in ("_shared_occurrences", "_list_pending"):
+        monkeypatch.setattr(validation, name, listing_in(getattr(validation, name)))
     monkeypatch.setattr(validation, "witness_embedding", counted_build)
     monkeypatch.setattr(GraphStore, "_unlist", counted_unlist)
     return listed, struck

@@ -357,13 +357,22 @@ def pairwise_support_from_evidence(g: GraphStore, s: Tuple, cfg, ev,
                          escalated=escalated, heuristic=status == INVALID and cfg.l > 1)
 
 
+def joint_order(rows: list) -> list:
+    """`(label, p, joint, ...)` rows sorted descending by joint, then by p,
+    then by label: the order of `kgmend.joint_scores`, by a plain sort."""
+    return sorted(rows, key=lambda row: (-row[2], -row[1], row[0]))
+
+
 def reference_repair_tuple(g: GraphStore, rec, cfg, context_ignore: frozenset = frozenset()):
     """A record's repair spelled out over (label, p, joint, report) rows.
 
     The reference for `kgmend.repair.repair_tuple`, which ranks through
-    `joint_scores` with a link function that samples and decides each label
-    once: this decides Top-1, and when it fails every other Top-k label, then
-    walks Top-1 and the rest sorted by its own joint-score key.
+    `joint_scores`' order with a link function that samples and decides each
+    label once: this decides Top-1, and when it fails every other Top-k label,
+    then walks Top-1 and the rest in `joint_order`. Its `checks` count what
+    `repair_tuple` must decide: Top-1, then each alternative whose p reaches
+    the winner's joint, since none below it could outrank the winner, or all
+    of them when nothing passes.
     """
     top_label, top_p = rec.candidates[0]
     if top_label == NA or top_p < cfg.p_th:
@@ -386,12 +395,12 @@ def reference_repair_tuple(g: GraphStore, rec, cfg, context_ignore: frozenset = 
         rows.append((label, p, p * ev.link, support_from_evidence(g, s, vcfg, ev, ignore)))
         if len(rows) == 1 and passes(rows[0][3]):
             break
-    alternatives = sorted(rows[1:], key=lambda row: (-row[2], -row[1], row[0]))
-    for label, _, joint, report in rows[:1] + alternatives:
+    for label, _, joint, report in rows[:1] + joint_order(rows[1:]):
         if passes(report):
+            checks = 1 if label == top_label else 1 + sum(row[1] >= joint for row in rows[1:])
             return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=label,
                                   status=ACCEPTED if label == top_label else REPAIRED,
-                                  joint=joint, support=report.support_count, checks=len(rows))
+                                  joint=joint, support=report.support_count, checks=checks)
     held = cfg.unknown_policy == "hold" and any(row[3].status == UNKNOWN for row in rows)
     return RepairDecision(rec.id, rec.head, rec.tail, initial=top_label, final=NA,
                           status=HELD if held else REJECTED, joint=0.0,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgmend import (
@@ -34,7 +34,7 @@ from kgmend.repair import UNKNOWN_POLICIES, parse_record
 from kgmend.stream import run
 
 from conftest import HUB_THRESHOLDS, LABELS, hub_edges, random_graph
-from oracle import reference_repair_tuple
+from oracle import joint_order, reference_repair_tuple
 
 VCFG = ValidationConfig(l=1, sample_size=4)
 
@@ -183,6 +183,45 @@ def test_joint_ranking_invariant_under_probability_scaling():
     assert order(base) == order(scaled)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(candidates=st.lists(st.tuples(st.sampled_from(LABELS + (NA,)),
+                                     st.sampled_from((-0.4, -0.2, 0.0, 0.3, 0.3 + 1e-12, 0.6, 1.0))),
+                           min_size=1, max_size=5),
+       links=st.fixed_dictionaries({label: st.sampled_from((0.0, 0.5, 0.75, 1.0)) for label in LABELS}),
+       k=st.integers(1, 5))
+def test_joint_scores_match_a_full_sort_in_any_candidate_order(candidates, links, k):
+    # the labels are scored lazily, in descending p, so the candidates' own order,
+    # ascending or by 1e-12 out of order, must not change the ranking; the first
+    # label comes out once every label that could beat it, and no other, is scored
+    first = {}
+    for label, p in candidates:
+        if label != NA:
+            first.setdefault(label, p)
+    rows = [(label, p, p * links[label]) for label, p in list(first.items())[:k]]
+    assume(rows)
+    record, asked = rec("e1", "h", "t", *candidates), []
+
+    def link(g, h, t, r, vcfg):
+        asked.append(r)
+        return links[r]
+
+    expected = [(label, joint) for label, _, joint in joint_order(rows)]
+    ranked = repair._ranked(GraphStore(), record, rcfg(k=k), link)
+    best = next(ranked)
+    assert sorted(asked) == sorted(label for label, p, _ in rows if max(p, 0.0) >= best[1])
+    assert [best, *ranked] == expected
+    assert sorted(asked) == sorted(label for label, _, _ in rows)      # each label once
+    assert joint_scores(GraphStore(), record, rcfg(k=k), link_fn=link) == expected
+
+
+@pytest.mark.parametrize("score", [1.5, -0.1, float("nan")])
+def test_joint_scores_reject_a_link_score_outside_the_unit_interval(score):
+    # a joint above its p would break the bound that lets labels go unscored
+    record = rec("e1", "h", "t", ("a", 0.6), ("b", 0.4))
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        joint_scores(GraphStore(), record, rcfg(), link_fn=stub_link({"a": 1.0, "b": score}))
+
+
 # -- per-tuple repair ---------------------------------------------------------
 
 def support_graph(label="r", context="q", occurrences=3) -> GraphStore:
@@ -217,9 +256,8 @@ def test_invalid_initial_repaired_to_supported_label():
 
 
 def test_each_label_is_sampled_and_decided_once(monkeypatch):
-    g = support_graph()
-    g.add_tuple(Tuple("h", "q", "xh"))
-    # "r" alone has a link score, so it leads the joint ranking behind the failed Top-1
+    # "r" alone has a link score, so it leads the joint ranking behind the failed Top-1;
+    # a label is checked only while its p reaches the best joint not yet tried
     record = rec("r1", "h", "t", ("wrong", 0.8), ("r", 0.6), ("x", 0.5), ("y", 0.4), ("z", 0.3))
     calls = []
     gather, check = repair.gather_evidence, repair.support_from_evidence
@@ -234,18 +272,27 @@ def test_each_label_is_sampled_and_decided_once(monkeypatch):
 
     monkeypatch.setattr(repair, "gather_evidence", sampled)
     monkeypatch.setattr(repair, "support_from_evidence", decided)
-    decision = repair_tuple(g, record, rcfg(k=5))
-    assert (decision.status, decision.final, decision.checks) == ("Repaired", "r", 5)
-    # Top-1's evidence is reused when joint_scores asks for its link score
-    assert calls == [(step, label) for label in ("wrong", "r", "x", "y", "z")
-                     for step in ("sample", "decide")]
+    # r's joint is 0.6 (link 1), above x's p; then 0.45 (link 0.75), below it, so x is checked
+    for mixed, checked in ((False, ("wrong", "r")), (True, ("wrong", "r", "x"))):
+        g = support_graph()
+        g.add_tuple(Tuple("h", "q", "xh"))
+        if mixed:
+            g.add_tuple(Tuple("a9", "r", "b9"))
+            g.add_tuple(Tuple("a9", "other", "z9"))
+        calls.clear()
+        decision = repair_tuple(g, record, rcfg(k=5))
+        assert (decision.status, decision.final, decision.checks) == ("Repaired", "r", len(checked))
+        assert decision.joint == pytest.approx(0.45 if mixed else 0.6)
+        # Top-1's evidence is reused when the ranking asks for its link score
+        assert calls == [(step, label) for label in checked for step in ("sample", "decide")]
 
 
 def test_a_record_builds_one_candidate_pattern(monkeypatch):
     """The later labels relabel Top-1's candidate pattern: one BFS around
-    the record's endpoints, however many labels are checked."""
+    the record's endpoints, however many labels are checked. No label
+    passes here, so all four are."""
     g = support_graph()
-    g.add_tuple(Tuple("h", "q", "xh"))
+    g.add_tuple(Tuple("h", "p", "xh"))      # not r's context: r's witnesses share no path
     record = rec("r1", "h", "t", ("wrong", 0.8), ("r", 0.6), ("x", 0.5), ("y", 0.4))
     built = []
     extract = validation.extract_pattern
@@ -256,7 +303,7 @@ def test_a_record_builds_one_candidate_pattern(monkeypatch):
 
     monkeypatch.setattr(validation, "extract_pattern", counted)
     decision = repair_tuple(g, record, rcfg(k=4))
-    assert (decision.status, decision.final, decision.checks) == ("Repaired", "r", 4)
+    assert (decision.status, decision.final, decision.checks) == ("Rejected", NA, 4)
     assert [c for c in built if (c.head, c.tail) == ("h", "t")] == [Tuple("h", "wrong", "t")]
 
 
@@ -418,6 +465,28 @@ def test_repair_tuple_matches_the_reference_walk(graph_seed, endpoints, candidat
     got = decide(lambda g, record, cfg, _: repair_tuple(g, record, cfg))
     want = decide(reference_repair_tuple)
     assert (got.to_json(), got.checks, got.support) == (want.to_json(), want.checks, want.support)
+
+
+def test_repair_tuple_scores_in_descending_p_not_candidate_order():
+    # parse_record lets a later p exceed an earlier one by 1e-12: "a", last, ties
+    # "b"'s joint and wins on its label, though "c" before it has a p below that joint
+    record = parse_record({"id": "x", "head": "h", "tail": "t", "candidates": [
+        {"relation": "top", "p": 0.9}, {"relation": "b", "p": 0.3 + 1e-12},
+        {"relation": "c", "p": 0.3}, {"relation": "a", "p": 0.3 + 1e-12}]})
+
+    def graph() -> GraphStore:
+        g = GraphStore()
+        for label in ("a", "b"):
+            for i in range(3):
+                g.add_tuple(Tuple(f"{label}{i}", label, f"{label}{i}_t"))
+                g.add_tuple(Tuple(f"{label}{i}", "q", f"{label}{i}_x"))
+        g.add_tuple(Tuple("h", "q", "xh"))
+        return g
+
+    got = repair_tuple(graph(), record, rcfg())
+    want = reference_repair_tuple(graph(), record, rcfg())
+    assert (got.to_json(), got.checks, got.support) == (want.to_json(), want.checks, want.support)
+    assert (got.status, got.final, got.checks) == ("Repaired", "a", 3)     # "b" in candidate order
 
 
 def test_decisions_do_not_depend_on_cache_state(monkeypatch):

@@ -405,7 +405,7 @@ def test_a_kept_posting_index_decides_as_one_rebuilt_for_every_scan(monkeypatch,
     assert outcomes[0] == outcomes[1]
 
 
-def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter]:
+def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter, int]:
     g, records, _ = benchmark_generate(BenchmarkSpec(
         records=1000, labels=10, occurrences_per_label=10, density=0.8, seed=0))
     log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), cfg, slice_size=250)
@@ -414,20 +414,51 @@ def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter]:
         digest.update((dec.to_json() + "\n").encode())
     for s in sorted(g.all_tuples()):
         digest.update(f"{s.head}\t{s.relation}\t{s.tail}\n".encode())
-    return digest.hexdigest(), Counter(dec.status + " terminal" * dec.terminal for dec in log)
+    return (digest.hexdigest(), Counter(dec.status + " terminal" * dec.terminal for dec in log),
+            sum(dec.checks for dec in log))
 
 
 def test_seeded_stream_decisions_match_the_pinned_digest():
     # every decision and the enhanced graph, pinned: a change that moves one
-    # decision must say so by updating these digests
+    # decision must say so by updating these digests. The label checks are
+    # pinned beside them, a count of work and not a time: deciding every
+    # Top-k label of a failing record, not only those that could outrank
+    # the winner, gives 2,756 in both runs with the same digests
     runs = [_stream_digest(RepairConfig(validation=vcfg)) for vcfg in (
         ValidationConfig(), ValidationConfig(l=1, mode="positional", delta=2, sample_size=3))]
     assert runs == [
         ("285d83127444e0a46aa88ef61668af985292e0fac71b6fa56a924522bef51916",
-         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}),
+         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}, 2051),
         ("60b6859cd308c64a19e8270f8996c351750b2267353019cc0fa6f8234ad14937",
-         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}),
+         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}, 2138),
     ]
+
+
+def test_each_snapshot_lists_what_the_commits_queued_before_its_first_record(monkeypatch):
+    # a commit queues the occurrences it inserts or strikes off a posting index;
+    # repair_instance lists them as its overlay opens, so no record's scan does
+    cfg = RepairConfig(validation=ValidationConfig(l=1, sample_size=3))
+    queued, seen = [], []
+    real_commit, real_repair = stream.commit, repair.repair_tuple
+
+    def pending(g: GraphStore) -> int:
+        return sum(len(index[2]) for indexes in g.postings.values() for index in indexes.values())
+
+    def committed(g, decisions):
+        version = real_commit(g, decisions)
+        queued.append(pending(g))
+        return version
+
+    def repaired(g, rec, cfg):
+        seen.append(pending(g))
+        return real_repair(g, rec, cfg)
+
+    monkeypatch.setattr(stream, "commit", committed)
+    monkeypatch.setattr(repair, "repair_tuple", repaired)
+    g, records = _shared_entity_stream(0)
+    run(g, iter(records), cfg, slice_size=20)
+    assert sum(queued) and len(seen) >= len(records)
+    assert not any(seen)
 
 
 # -- the collector during a run ------------------------------------------------

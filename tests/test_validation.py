@@ -249,6 +249,25 @@ def test_postings_serve_every_ignore_set_and_are_kept_across_writes(monkeypatch)
     assert listed == Counter([early])
 
 
+def test_classify_outside_an_overlay_lists_what_a_write_queued():
+    # repair_instance lists pending occurrences as its snapshot opens; with no
+    # snapshot, the label's next scan lists them, as classify's does here
+    g = window_graph(1)
+    g.add_tuple(Tuple("p9", "works_in", "p9_w"))
+    s = Tuple("p9", "born_in", "p9_c")
+    cfg = ValidationConfig(l=1, sample_size=1, delta=6)
+    assert classify(g, s, cfg).escalated
+    early = Tuple("a0", "born_in", "a0_c")
+    g.add_tuple(Tuple("a0", "works_in", "a0_w"))
+    g.add_tuple(early)                      # it sorts before every listed occurrence
+    lists, _, pending = g.postings["born_in"][1, "sorted"]
+    assert pending == {early}
+    report = classify(g, s, cfg)
+    assert not pending and early in lists[("works_in",)]
+    assert early in [c for c, _ in report.witnesses]
+    _assert_cache_coherent(g)
+
+
 def test_a_write_beside_a_listed_occurrence_relists_it_under_its_new_sequences():
     # d00 is listed under its `unrelated` context alone; a works_in edge at its
     # head evicts its witness, and the store strikes it off and queues it, so
