@@ -9,7 +9,9 @@ would otherwise be counted from both sides). The count of a sequence is the
 number of distinct walk pairs producing it. The walks read the store's own
 edges, memoised per vertex and step count on the pattern, except that a hub
 keeps its one- and two-step tables on the store, counted once per snapshot
-and shared by every pattern (`_full`).
+and shared by every pattern (`_full`). Where one walk has no edge, the other
+endpoint's l-step table is never built: its listed steps are read with the
+(l - 1)-step tables beyond them, straight into the embedding.
 
 The walks never read the center label, and `sim` compares only embeddings
 with the same one, so `paths` leave it out and every label over the same
@@ -34,7 +36,7 @@ MODES = ("sorted", "positional")
 HUB_EDGES = 64      # edges that make a vertex a hub, whose walk tables the store keeps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PathEmbedding:
     center_label: str
     radius: int
@@ -50,8 +52,8 @@ class PathEmbedding:
             for seq, n in self.paths.items():
                 key = tuple(label or self.center_label for label in seq)
                 compared[key] = compared.get(key, 0) + n
-        object.__setattr__(self, "compared", compared)
-        object.__setattr__(self, "size", sum(self.paths.values()))
+        self.compared = compared
+        self.size = sum(self.paths.values())
 
     @property
     def counts(self) -> dict:
@@ -156,7 +158,10 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
 
     Requires 1 <= l <= p.radius so every enumerated walk stays inside the
     pattern. A pattern holding only its center edge embeds to the empty
-    multiset.
+    multiset. At l >= 2 the pairs with an empty walk on one side read the
+    other endpoint's listed steps times the (l - 1)-step tables beyond them,
+    but at a hub endpoint, which lists none and keeps its table; every vertex
+    whose edges are read still holds a table of one step or more in `p.walks`.
     """
     if not 1 <= l <= p.radius:
         raise ValueError(f"need 1 <= l <= pattern radius, got l={l}, radius={p.radius}")
@@ -167,6 +172,20 @@ def traverse_r(p: LocalizedPattern, l: int, mode: str = "sorted") -> PathEmbeddi
     ends = {head: tail, tail: head}
     paths: dict = {}
     for a in range(l + 1):
+        if l > 1 and a in (0, l):       # one side stands still at ()
+            moving = tail if a == 0 else head
+            _walks(g, ends, memo, moving, l - 1)    # lists moving's steps, but at a hub end
+            listed = memo.get((moving, None))
+            if listed is not None:      # fold: moving's l-step table is never built
+                for label, other in listed:
+                    for rest, n in _walks(g, ends, memo, other, l - 1).items():
+                        seq = (label,) + rest
+                        if mode == "sorted":
+                            key = tuple(sorted(seq))
+                        else:
+                            key = ("",) + seq if a == 0 else seq[::-1] + ("",)
+                        paths[key] = paths.get(key, 0) + n
+                continue
         for head_seq, hn in _walks(g, ends, memo, head, a).items():
             for tail_seq, tn in _walks(g, ends, memo, tail, l - a).items():
                 if mode == "sorted":

@@ -21,7 +21,7 @@ from functools import cached_property
 from .graph_store import GraphStore, NA, Tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class LocalizedPattern:
     """The l-ball around `center`, over `store` plus the center edge.
 

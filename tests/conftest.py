@@ -154,6 +154,20 @@ def hub_edges(edges: int):
         yield
 
 
+def count_walks_calls(monkeypatch) -> list:
+    """The (vertex, steps) of every `embedding._walks` call from here on,
+    its own recursive calls included."""
+    calls = []
+    walks = embedding._walks
+
+    def counted(g, ends, memo, v, steps):
+        calls.append((v, steps))
+        return walks(g, ends, memo, v, steps)
+
+    monkeypatch.setattr(embedding, "_walks", counted)
+    return calls
+
+
 @pytest.fixture
 def collector():
     """Collections started while the test runs; the collector state is restored."""

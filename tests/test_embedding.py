@@ -16,7 +16,8 @@ from kgmend import GraphStore, Tuple, extract_pattern, sim, traverse_r
 from kgmend.embedding import MODES, PathEmbedding, format_embedding
 from kgmend.validation import ValidationConfig, witness_embedding
 
-from conftest import HUB_THRESHOLDS, center_with_parallels, hub_edges, hub_graph
+from conftest import (HUB_THRESHOLDS, LABELS, center_with_parallels, count_walks_calls, hub_edges,
+                      hub_graph)
 from oracle import enumerate_central_walks, multiset_sim, reference_sim
 
 CENTER_B = Tuple("India", "C", "Gorakhpur")
@@ -146,23 +147,32 @@ def test_sim_and_counts_agree_with_the_labeled_walk_formula(edges, ends, extras)
                 assert sim(*built) == multiset_sim(*walks)
 
 
-def _count_walks_calls(monkeypatch) -> list:
-    calls = []
-    walks = embedding_module._walks
-
-    def counted(g, ends, memo, v, steps):
-        calls.append((v, steps))
-        return walks(g, ends, memo, v, steps)
-
-    monkeypatch.setattr(embedding_module, "_walks", counted)
-    return calls
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), leaves=st.integers(1, 8), l=st.integers(1, 3))
+def test_a_hub_endpoint_keeps_the_table_path(seed, leaves, l):
+    """`traverse_r` walks an endpoint's listed steps in place of its l-step
+    table, except at a hub endpoint, whose tables at l <= 2 come from the
+    hub's own (`_at_hub_end`), listing none: with 3 edges making a hub, a
+    pattern with a hub at one end, and at times both, is the walk oracle's
+    at l = 1, 2 and 3 in both modes."""
+    rng = random.Random(seed)
+    g = hub_graph(rng, leaves, extra=rng.randint(0, leaves))
+    ends = ("hub", f"leaf{rng.randrange(leaves)}")[::rng.choice((1, -1))]
+    center = Tuple(ends[0], rng.choice(LABELS), ends[1])
+    with hub_edges(3):
+        p = extract_pattern(g, center, l)
+        for mode in MODES:
+            assert dict(traverse_r(p, l, mode).counts) == \
+                enumerate_central_walks(p, l, mode, max_vertices=len(p.vertices))
+        if l <= 2:
+            assert (("hub", None) in p.walks) == (g.degree("hub") < 3)
 
 
 def test_one_step_tables_cost_the_same_at_any_hub_degree(monkeypatch):
     """At l = 1 a hub's one-step table counts its labels; it makes no call
     per leaf: as many at d = 100 as at d = 1,000, and at most one more, the
     table's own build, than at a vertex with 10 edges."""
-    calls = _count_walks_calls(monkeypatch)
+    calls = count_walks_calls(monkeypatch)
     made = {}
     for d in (10, 100, 1_000):
         g = GraphStore()
@@ -180,7 +190,7 @@ def test_a_hub_next_to_an_endpoint_costs_the_same_at_any_degree(monkeypatch):
     its table counts its labels, and makes no call per leaf: as many at
     d = 100 as at d = 1,000, and at most one more, the table's own build,
     than at a vertex with 10 edges."""
-    calls = _count_walks_calls(monkeypatch)
+    calls = count_walks_calls(monkeypatch)
     made = {}
     for d in (10, 100, 1_000):
         g = GraphStore()
@@ -213,7 +223,7 @@ def test_witnesses_at_a_hub_cost_the_same_at_any_degree(monkeypatch):
     table less the steps toward x_i, with as many `_walks` calls at
     d = 400 as at d = 25,600, and the embedding a store without shared
     tables builds (checked at d = 400, where that build is cheap)."""
-    calls = _count_walks_calls(monkeypatch)
+    calls = count_walks_calls(monkeypatch)
     cfg = ValidationConfig()
     witnesses = [Tuple("H", "r0", f"x{i}") for i in range(0, 50, 5)]
     made, built = {}, {}

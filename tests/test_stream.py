@@ -34,7 +34,7 @@ from kgmend.embedding import MODES
 from kgmend.graph_store import GraphFormatError
 from kgmend.repair import PredictionFormatError, RepairDecision
 
-from conftest import count_postings
+from conftest import count_postings, count_walks_calls
 from oracle import pairwise_support_from_evidence
 
 VCFG = ValidationConfig(l=1, sample_size=4)
@@ -405,9 +405,10 @@ def test_a_kept_posting_index_decides_as_one_rebuilt_for_every_scan(monkeypatch,
     assert outcomes[0] == outcomes[1]
 
 
-def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter, int]:
+def _stream_digest(cfg: RepairConfig, walks: list) -> tuple[str, Counter, int, int]:
     g, records, _ = benchmark_generate(BenchmarkSpec(
         records=1000, labels=10, occurrences_per_label=10, density=0.8, seed=0))
+    walks.clear()
     log, _ = run(g, iter(inject_errors(records, rate=0.3, seed=0)), cfg, slice_size=250)
     digest = hashlib.sha256()
     for dec in log:
@@ -415,22 +416,25 @@ def _stream_digest(cfg: RepairConfig) -> tuple[str, Counter, int]:
     for s in sorted(g.all_tuples()):
         digest.update(f"{s.head}\t{s.relation}\t{s.tail}\n".encode())
     return (digest.hexdigest(), Counter(dec.status + " terminal" * dec.terminal for dec in log),
-            sum(dec.checks for dec in log))
+            sum(dec.checks for dec in log), len(walks))
 
 
-def test_seeded_stream_decisions_match_the_pinned_digest():
+def test_seeded_stream_decisions_match_the_pinned_digest(monkeypatch):
     # every decision and the enhanced graph, pinned: a change that moves one
-    # decision must say so by updating these digests. The label checks are
-    # pinned beside them, a count of work and not a time: deciding every
-    # Top-k label of a failing record, not only those that could outrank
-    # the winner, gives 2,756 in both runs with the same digests
-    runs = [_stream_digest(RepairConfig(validation=vcfg)) for vcfg in (
+    # decision must say so by updating these digests. Counts of work, not
+    # times, are pinned beside them: the label checks (deciding every Top-k
+    # label of a failing record, not only those that could outrank the
+    # winner, gives 2,756 in both runs with the same digests) and the
+    # `embedding._walks` calls inside `run` (building each endpoint's l-step
+    # table before reading it gives 13,992 at l = 2; at l = 1 nothing is folded)
+    walks = count_walks_calls(monkeypatch)
+    runs = [_stream_digest(RepairConfig(validation=vcfg), walks) for vcfg in (
         ValidationConfig(), ValidationConfig(l=1, mode="positional", delta=2, sample_size=3))]
     assert runs == [
         ("285d83127444e0a46aa88ef61668af985292e0fac71b6fa56a924522bef51916",
-         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}, 2051),
+         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}, 2051, 10494),
         ("60b6859cd308c64a19e8270f8996c351750b2267353019cc0fa6f8234ad14937",
-         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}, 2138),
+         {"Accepted": 561, "Repaired": 237, "Held terminal": 202}, 2138, 7516),
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -116,6 +117,55 @@ def test_aux_source_tops_up_sample():
     assert len(centers) == 10
     assert sum(1 for _, from_aux in centers if not from_aux) == 2
     assert sum(1 for _, from_aux in centers if from_aux) == 8
+
+
+def _reference_picks(cfg: ValidationConfig, r: str, exclude, version: int, realm: str,
+                     n: int, k: int) -> list[int]:
+    """`random.Random(seed).sample(range(n), k)`, seeded with the blake2b
+    digest of the draw's inputs, as the sampler seeds."""
+    material = repr((cfg.seed, r, exclude, version, realm)).encode()
+    seed = int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "big")
+    return random.Random(seed).sample(range(n), k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), seed=st.integers(0, 5), data=st.data())
+def test_each_draw_makes_a_fresh_generators_picks(n, seed, data):
+    """A draw's picks are those of a fresh `random.Random(seed).sample`,
+    whichever draws came before it and whichever of `sample`'s branches (a
+    pool of n, or a set of the k picks) n and k select, at k = 1, k = n or
+    any k between: a cheaper sampler that picks otherwise fails here."""
+    k = data.draw(st.sampled_from((1, n)) | st.integers(1, n))
+    cfg = cfg_l1(sample_size=k, seed=seed)
+    g = GraphStore()
+    for i in range(n):
+        g.add_tuple(Tuple(f"p{i}", "r", f"c{i}"))
+    order = g.tuples_with_relation("r")
+    for j in data.draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=4)):
+        exclude = order[j] if j >= 0 else None
+        rest = [c for c in order if c != exclude]
+        expected = rest if len(rest) < k else \
+            [rest[i] for i in _reference_picks(cfg, "r", exclude, g.version, "native", len(rest), k)]
+        assert [c for c, _ in sample_centers(g, "r", cfg, exclude=exclude)] == expected
+
+
+def test_native_and_aux_picks_are_those_random_would_make():
+    cfg = cfg_l1(sample_size=10, seed=7)
+    native = context_graph(occurrences=30)
+    order = native.tuples_with_relation("born_in")
+    exclude = order[4]
+    picks = _reference_picks(cfg, "born_in", exclude, native.version, "native", 29, 10)
+    assert sample_centers(native, "born_in", cfg, exclude=exclude) == \
+        [(order[i + (i >= 4)], False) for i in picks]
+    g = context_graph(occurrences=3)
+    g.bump_version()
+    g.aux_source = aux = context_graph(occurrences=40)
+    exclude = Tuple("p1", "born_in", "c1")
+    aux_order = aux.tuples_with_relation("born_in")
+    picks = _reference_picks(cfg, "born_in", exclude, aux.version, "aux", 40, 8)
+    assert sample_centers(g, "born_in", cfg, exclude=exclude) == \
+        [(c, False) for c in g.tuples_with_relation("born_in") if c != exclude] + \
+        [(aux_order[i], True) for i in picks]
 
 
 def test_support_counts_similar_witnesses():
@@ -586,6 +636,27 @@ def test_an_edge_at_a_ring_vertex_evicts_the_cached_witness(l):
     assert (center, l, cfg.mode) not in g.embedding_cache
     _assert_cache_coherent(g)
     assert witness_embedding(g, center, cfg) != cached
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), l=st.integers(1, 3), mode=st.sampled_from(MODES))
+def test_a_witness_is_registered_under_each_vertex_within_l_minus_one(seed, l, mode):
+    """With no hub, a cached witness is registered under exactly the vertices
+    within l - 1 of an endpoint, whose edges its walks read, though its
+    endpoints' l-step tables are never built; a write at any of them evicts it."""
+    rng = random.Random(seed)
+    g = random_graph(rng)
+    center = rng.choice(sorted(g.all_tuples()))
+    cfg = ValidationConfig(l=l, mode=mode)
+    key = (center, l, mode)
+    witness_embedding(g, center, cfg)
+    near = _within(g, center, l - 1)
+    assert registered_under(g, key) == near
+    for v in sorted(near):
+        witness_embedding(g, center, cfg)
+        edge = Tuple(v, "z", "fresh")
+        assert g.add_tuple(edge) and key not in g.embedding_cache
+        assert g.remove_tuple(edge)
 
 
 def test_a_rebuild_that_reads_less_is_evicted_at_most_once_where_it_no_longer_reads():
